@@ -162,16 +162,11 @@ def cmd_script(args) -> int:
 
 
 def slice_clauses(clauses, slices: int):
-    """Split a clause list into `slices` chunks of floor size; the last chunk
-    absorbs the remainder."""
+    """Cut a clause list, in order, into `slices` chunks whose sizes differ
+    by at most one."""
     n = len(clauses)
-    size = max(1, n // slices)
-    out = []
-    for i in range(slices):
-        start = min(i * size, n)
-        end = n if i == slices - 1 else min((i + 1) * size, n)
-        out.append(list(clauses[start:end]))
-    return out
+    return [list(clauses[i * n // slices:(i + 1) * n // slices])
+            for i in range(slices)]
 
 
 def run_slicing(f: Pcnf, slices: int, keep_learned: bool, direction: str,

@@ -11,6 +11,13 @@ reduction imply their existential literal, unit cubes after existential
 reduction imply the negation of their universal literal, fully falsified
 clauses raise a conflict, fully satisfied cubes raise a solution, and a trail
 satisfying every original clause raises a model solution.
+
+Clauses and cubes both sit in literal-indexed occurrence lists, and both are
+counter-gated: assign and _unassign_top keep nsat (satisfied literals) on
+every clause, and nfalse (falsified literals) and nopen (unassigned universal
+literals) on every cube.  A clause is scanned only while nsat == 0, a cube
+only while nfalse == 0 and nopen <= 1; a constraint failing its gate can
+neither fire nor turn unit, so skipping it does not change the search.
 """
 
 from __future__ import annotations
@@ -226,7 +233,13 @@ class SolverState:
         self.cubes.append(c)
         self._cube_index[key] = c
         for l in c.lits:
-            self.cube_occ.setdefault(abs(l), []).append(c)
+            self.cube_occ.setdefault(l, []).append(c)
+            val = self.value.get(abs(l))
+            if val is None:
+                if self.vars[abs(l)].quant == FORALL:
+                    c.nopen += 1
+            elif (l > 0) != val:
+                c.nfalse += 1
         return c
 
     def rebuild_indexes(self) -> None:
@@ -249,8 +262,12 @@ class SolverState:
         self._cube_index = {}
         for c in self.cubes:
             self._cube_index[c.lits] = c
+            c.nfalse = 0
+            c.nopen = 0
             for l in c.lits:
-                self.cube_occ.setdefault(abs(l), []).append(c)
+                self.cube_occ.setdefault(l, []).append(c)
+                if self.vars[abs(l)].quant == FORALL:
+                    c.nopen += 1
 
     # ---- trail ----
 
@@ -262,12 +279,22 @@ class SolverState:
         self.reason[v] = reason
         self.trailpos[v] = len(self.trail)
         self.trail.append(lit)
-        self.vars[v].phase = lit > 0
+        var = self.vars[v]
+        var.phase = lit > 0
         self.stats.assignments += 1
         for c in self.clause_occ.get(lit, ()):
             c.nsat += 1
             if c.nsat == 1 and not c.learned:
                 self.n_sat_orig += 1
+        if var.quant == FORALL:
+            for c in self.cube_occ.get(lit, ()):
+                c.nopen -= 1
+            for c in self.cube_occ.get(-lit, ()):
+                c.nfalse += 1
+                c.nopen -= 1
+        else:
+            for c in self.cube_occ.get(-lit, ()):
+                c.nfalse += 1
 
     def _unassign_top(self) -> None:
         lit = self.trail.pop()
@@ -280,6 +307,15 @@ class SolverState:
             c.nsat -= 1
             if c.nsat == 0 and not c.learned:
                 self.n_sat_orig -= 1
+        if self.vars[v].quant == FORALL:
+            for c in self.cube_occ.get(lit, ()):
+                c.nopen += 1
+            for c in self.cube_occ.get(-lit, ()):
+                c.nfalse -= 1
+                c.nopen += 1
+        else:
+            for c in self.cube_occ.get(-lit, ()):
+                c.nfalse -= 1
 
     def backjump(self, target_level: int) -> None:
         if target_level >= self.level:
@@ -366,7 +402,8 @@ class SolverState:
                 if not c.deleted and c.nsat == 0 and self._scan_clause(c):
                     return ("conflict", c)
             for c in self.cubes:
-                if not c.deleted and self._scan_cube(c):
+                if (not c.deleted and c.nfalse == 0 and c.nopen <= 1
+                        and self._scan_cube(c)):
                     return ("solution", c)
         while self.qhead < len(self.trail):
             lit = self.trail[self.qhead]
@@ -374,8 +411,9 @@ class SolverState:
             for c in self.clause_occ.get(-lit, ()):
                 if not c.deleted and c.nsat == 0 and self._scan_clause(c):
                     return ("conflict", c)
-            for c in self.cube_occ.get(abs(lit), ()):
-                if not c.deleted and self._scan_cube(c):
+            for c in self.cube_occ.get(lit, ()):
+                if (not c.deleted and c.nfalse == 0 and c.nopen <= 1
+                        and self._scan_cube(c)):
                     return ("solution", c)
         if self.n_sat_orig == len(self.clauses):
             return ("solution", None)

@@ -21,13 +21,15 @@ class Constraint:
     """A clause or cube plus solver bookkeeping.
 
     lits is a tuple sorted by variable id.  selector is the managing frame's
-    selector variable id for clauses (0 when none).  nsat and deleted are
-    engine fields: number of currently satisfied literals, and a tombstone
-    flag for garbage collection.
+    selector variable id for clauses (0 when none).  The remaining fields
+    belong to the engine's trail: nsat (clauses only) counts the currently
+    satisfied literals; nfalse and nopen (cubes only) count the currently
+    falsified literals and the still unassigned universal literals; deleted
+    is a tombstone flag for garbage collection.
     """
 
     __slots__ = ("kind", "lits", "cid", "learned", "activity", "selector",
-                 "nsat", "deleted")
+                 "nsat", "nfalse", "nopen", "deleted")
 
     def __init__(self, kind, lits, cid=-1, learned=False, selector=0):
         if kind not in (CLAUSE, CUBE):
@@ -39,6 +41,8 @@ class Constraint:
         self.activity = 0.0
         self.selector = selector
         self.nsat = 0
+        self.nfalse = 0
+        self.nopen = 0
         self.deleted = False
 
     def __repr__(self):

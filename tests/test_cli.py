@@ -160,10 +160,10 @@ def test_cmd_script_exit_codes(tmp_path, capsys):
 def test_slice_clauses_shapes():
     clauses = [(i,) for i in range(25)]
     chunks = slice_clauses(clauses, 10)
-    assert [len(c) for c in chunks] == [2] * 9 + [7]
+    assert [len(c) for c in chunks] == [2, 3] * 5
     assert [c for chunk in chunks for c in chunk] == clauses
     chunks = slice_clauses(clauses[:3], 10)
-    assert [len(c) for c in chunks] == [1, 1, 1] + [0] * 7
+    assert [len(c) for c in chunks] == [0, 0, 0, 1, 0, 0, 1, 0, 0, 1]
     assert slice_clauses([], 4) == [[], [], [], []]
     assert [len(c) for c in slice_clauses(clauses[:20], 4)] == [5, 5, 5, 5]
 

@@ -8,7 +8,7 @@ from incqbf import CLAUSE, CUBE, EXISTS, FORALL, UsageError, eval_pcnf
 from incqbf import qcdcl
 from incqbf.qcdcl import (DECISION, InitialCubeList, SolverState, SolverTimeout)
 
-from gen import build_solver, random_pcnf
+from gen import build_solver, random_pcnf, random_session
 
 
 def state(pairs):
@@ -148,6 +148,90 @@ def test_assign_counters_and_backjump():
         st.backjump(1)
     st.unwind()
     assert c.nsat == 0 and st.n_sat_orig == 0 and st.level == 0
+
+
+def cube_counters(st, c):
+    """(nfalse, nopen) of cube c, recomputed from the trail."""
+    nfalse = sum(1 for l in c.lits if st.value.get(abs(l)) == (l < 0))
+    nopen = sum(1 for l in c.lits
+                if abs(l) not in st.value and st.quantifier(abs(l)) == FORALL)
+    return nfalse, nopen
+
+
+def assert_cube_counters(st):
+    """Every live cube's counters agree with the trail; returns how many
+    cubes were checked."""
+    live = [c for c in st.cubes if not c.deleted]
+    for c in live:
+        assert (c.nfalse, c.nopen) == cube_counters(st, c), (c, st.trail)
+    return len(live)
+
+
+def test_cube_counters_for_a_cube_registered_mid_search():
+    # the order solve_core uses after a solution: backjump, register the
+    # learned cube, then imply the negation of its asserting universal
+    st = state([(EXISTS, (1, 2)), (FORALL, (3, 4)), (EXISTS, (5,))])
+    st.register_clause((1, 2, 3, 4, 5))
+    st.register_clause((2, 5))
+    force_decision(st, 1)
+    force_decision(st, 3)
+    force_decision(st, -5)
+    st.backjump(1)
+    assert st.trail == [1]
+    cube = st.register_cube((1, 3))
+    dead = st.register_cube((-1, 4))
+    assert (cube.nfalse, cube.nopen) == (0, 1)
+    assert (dead.nfalse, dead.nopen) == (1, 1)
+    st._imply(-3, cube)
+    assert (cube.nfalse, cube.nopen) == (1, 0)
+    assert (dead.nfalse, dead.nopen) == (1, 1)
+    assert st.propagate() is None
+    assert assert_cube_counters(st) == 2
+    st.backjump(0)
+    assert (cube.nfalse, cube.nopen) == (0, 1)
+    assert (dead.nfalse, dead.nopen) == (0, 1)
+    # registering an existing cube returns it with its counters intact
+    force_decision(st, -1)
+    assert st.register_cube((3, 1)) is cube
+    assert (cube.nfalse, cube.nopen) == (1, 1)
+    st.unwind()
+    assert assert_cube_counters(st) == 2
+
+
+def test_cube_counters_match_the_trail_in_random_sessions(monkeypatch):
+    monkeypatch.setattr(qcdcl, "LEARNED_CAP_BASE", 8)
+    monkeypatch.setattr(qcdcl, "LEARNED_CAP_STEP", 2)
+    inner = SolverState.propagate
+    checked = calls = 0
+
+    def checked_propagate(st, full=False):
+        nonlocal checked, calls
+        calls += 1
+        checked += assert_cube_counters(st)
+        event = inner(st, full)
+        assert_cube_counters(st)
+        return event
+
+    monkeypatch.setattr(SolverState, "propagate", checked_propagate)
+    for seed in range(17000, 17200):
+        rng, shadow, steps = random_session(seed, keep_learned=True)
+        s = shadow.solver
+        for _ in range(steps):
+            op = rng.random()
+            if op < 0.2:
+                shadow.push()
+            elif op < 0.3 and shadow.frames:
+                shadow.pop()
+            elif op < 0.7:
+                shadow.add_random_clause()
+            else:
+                blocks = s._state.prefix.blocks
+                if op < 0.8 and blocks and blocks[0].variables:
+                    v = rng.choice(sorted(blocks[0].variables))
+                    s.assume(v if rng.random() < 0.5 else -v)
+                s.solve()
+                shadow.after_solve()
+    assert calls > 1000 and checked > 1000, (calls, checked)
 
 
 def test_solve_core_worked_example():
