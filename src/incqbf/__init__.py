@@ -10,8 +10,7 @@ from .formula import (EXISTS, FORALL, Block, Pcnf, Prefix, UsageError,
 from .oracle import check_redundant, eval_pcnf, is_model
 from .qcdcl import Stats
 from .qdimacs import ParseError
-from .qres import (CLAUSE, CUBE, Constraint, existential_reduce, initial_cube,
-                   resolve, universal_reduce)
+from .qres import CLAUSE, CUBE, Constraint, reduce_lits, resolve
 from .solver import SAT, UNSAT, Solver
 
 __version__ = "0.1.0"
@@ -21,7 +20,7 @@ __all__ = [
     "Block", "Prefix", "Pcnf", "Constraint", "Solver", "Stats",
     "UsageError", "ParseError",
     "normalize_clause", "apply_assignment", "compact",
-    "universal_reduce", "existential_reduce", "resolve", "initial_cube",
+    "reduce_lits", "resolve",
     "eval_pcnf", "is_model", "check_redundant",
     "__version__",
 ]

@@ -18,14 +18,6 @@ class UsageError(ValueError):
     """An operation was called with its preconditions violated."""
 
 
-def var_of(lit: int) -> int:
-    return abs(lit)
-
-
-def negate(lit: int) -> int:
-    return -lit
-
-
 def normalize_clause(lits) -> tuple[int, ...] | None:
     """Deduplicate literals and sort by variable id.
 
@@ -136,16 +128,6 @@ class Prefix:
 
     def __repr__(self):
         return "Prefix(%r)" % (self.as_pairs(),)
-
-
-def compare_literals(prefix: Prefix, l1: int, l2: int) -> int:
-    """Order two literals by their variables' block positions.
-
-    Returns -1 if l1's block is outer to l2's, 0 if they share a block,
-    1 otherwise.  Both variables must be declared.
-    """
-    k1, k2 = prefix.order_key(abs(l1)), prefix.order_key(abs(l2))
-    return (k1 > k2) - (k1 < k2)
 
 
 class Pcnf:

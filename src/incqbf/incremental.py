@@ -29,8 +29,11 @@ class Frame:
 class FrameStack:
     """Owns the push/pop state layered over a SolverState."""
 
-    def __init__(self, state: SolverState, gc_min_disabled: int = 4096,
-                 gc_fraction: float = 0.25):
+    # garbage_collect runs once more clauses than both of these are disabled
+    GC_MIN_DISABLED = 4096
+    GC_FRACTION = 0.25
+
+    def __init__(self, state: SolverState):
         self.state = state
         self.frames: list[Frame] = []
         self.active: list[Frame] = []
@@ -38,8 +41,6 @@ class FrameStack:
         self.popped_since_prepare = False
         self.added_since_prepare = False
         self.disabled_clauses = 0
-        self.gc_min_disabled = gc_min_disabled
-        self.gc_fraction = gc_fraction
 
     # ---- stack operations ----
 
@@ -98,7 +99,7 @@ class FrameStack:
             st.learned_clauses = []
             st.cubes = []
             st._cube_index = {}
-            st.models.entries = []
+            st.models.clear()
         if self.popped_since_prepare:
             self._deletion_cleanup(set(keep_vars))
             self.popped_since_prepare = False
@@ -107,8 +108,8 @@ class FrameStack:
             self.added_since_prepare = False
         self.added = []
         total = len(st.clauses)
-        if self.disabled_clauses > max(self.gc_min_disabled,
-                                       int(self.gc_fraction * total)):
+        if self.disabled_clauses > max(self.GC_MIN_DISABLED,
+                                       int(self.GC_FRACTION * total)):
             self.garbage_collect()
         st.rebuild_indexes()
         out = []
@@ -149,8 +150,10 @@ class FrameStack:
             new_cubes.append(c)
         st.cubes = new_cubes
         st._cube_index = index
-        st.models.entries = [frozenset(l for l in m if abs(l) not in removed)
-                             for m in st.models.entries]
+        models = [frozenset(l for l in m if abs(l) not in removed)
+                  for m in st.models]
+        st.models.clear()
+        st.models.extend(models)
         popped_selectors = {f.selector for f in self.frames if f.popped}
         st.learned_clauses = [
             c for c in st.learned_clauses
@@ -164,12 +167,10 @@ class FrameStack:
         st = self.state
         st.cubes = []
         st._cube_index = {}
-        added = [c for c in self.added if not c.deleted]
-        survivors = []
-        for m in st.models.entries:
-            if all(any(l in m for l in c.lits) for c in added):
-                survivors.append(m)
-        st.models.entries = survivors
+        survivors = [m for m in st.models
+                     if all(any(l in m for l in c.lits) for c in self.added)]
+        st.models.clear()
+        st.models.extend(survivors)
         for m in survivors:
             st.register_cube(qres.reduce_lits(st, m, qres.CUBE))
 

@@ -18,12 +18,19 @@ every clause, and nfalse (falsified literals) and nopen (unassigned universal
 literals) on every cube.  A clause is scanned only while nsat == 0, a cube
 only while nfalse == 0 and nopen <= 1; a constraint failing its gate can
 neither fire nor turn unit, so skipping it does not change the search.
+_reduce_db rebuilds the occurrence lists of the kind it reduced, so they only
+ever hold live constraints.
+
+Conflict and solution analysis are one kernel, _analyze, parametrised by
+kind: a learned clause is asserting on its falsified existential literals, a
+learned cube on its satisfied universal literals.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import asdict, dataclass
 
 from . import qres
 from .formula import EXISTS, FORALL, Prefix, UsageError
@@ -37,6 +44,8 @@ LEARNED_CAP_BASE = 4000
 LEARNED_CAP_STEP = 1000
 VAR_DECAY = 0.95
 CLA_DECAY = 0.999
+# models kept to reseed cubes after clause additions, oldest evicted first
+MODELS_MAX = 2 ** 16
 
 DECISION = "decision"
 ASSUMPTION = "assumption"
@@ -62,44 +71,7 @@ class Stats:
     wall_time: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "assignments": self.assignments,
-            "backtracks": self.backtracks,
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "conflicts": self.conflicts,
-            "solutions": self.solutions,
-            "restarts": self.restarts,
-            "wall_time": self.wall_time,
-        }
-
-
-class InitialCubeList:
-    """Bounded FIFO list of models found during search.
-
-    Capacity starts small and doubles on demand up to a hard cap; beyond the
-    cap the oldest entry is evicted.
-    """
-
-    def __init__(self, capacity: int = 128, max_capacity: int = 2 ** 16):
-        self.entries: list[frozenset[int]] = []
-        self.capacity = capacity
-        self.max_capacity = max_capacity
-
-    def add(self, model: frozenset[int]) -> None:
-        if len(self.entries) >= self.capacity:
-            if self.capacity < self.max_capacity:
-                self.capacity = min(self.capacity * 2, self.max_capacity)
-            else:
-                self.entries.pop(0)
-        self.entries.append(model)
-
-    def trim(self) -> None:
-        while len(self.entries) > self.capacity:
-            self.entries.pop(0)
-
-    def __len__(self):
-        return len(self.entries)
+        return asdict(self)
 
 
 class _Var:
@@ -120,7 +92,7 @@ class _Var:
 class SolverState:
     """Mutable solver state shared by the search engine and the frame stack."""
 
-    def __init__(self, cube_list_capacity=128, cube_list_max=2 ** 16):
+    def __init__(self):
         self.prefix = Prefix()
         self.vars: dict[int, _Var] = {}
         self.selector_frames: dict[int, int] = {}
@@ -130,7 +102,7 @@ class SolverState:
         self.learned_clauses: list[Constraint] = []
         self.cubes: list[Constraint] = []
         self._cube_index: dict[tuple, Constraint] = {}
-        self.models = InitialCubeList(cube_list_capacity, cube_list_max)
+        self.models: deque[frozenset[int]] = deque(maxlen=MODELS_MAX)
         self.clause_occ: dict[int, list[Constraint]] = {}
         self.cube_occ: dict[int, list[Constraint]] = {}
         self.n_sat_orig = 0
@@ -224,7 +196,7 @@ class SolverState:
     def register_cube(self, lits) -> Constraint:
         key = tuple(sorted(lits, key=lambda l: (abs(l), l)))
         existing = self._cube_index.get(key)
-        if existing is not None and not existing.deleted:
+        if existing is not None:
             existing.activity += self.cla_inc
             return existing
         c = Constraint(CUBE, key, cid=self.next_cid, learned=True)
@@ -249,16 +221,10 @@ class SolverState:
         self.clause_occ = {}
         self.cube_occ = {}
         self.n_sat_orig = 0
-        for c in self.clauses:
+        for c in self.clauses + self.learned_clauses:
             c.nsat = 0
             for l in c.lits:
                 self.clause_occ.setdefault(l, []).append(c)
-        self.learned_clauses = [c for c in self.learned_clauses if not c.deleted]
-        for c in self.learned_clauses:
-            c.nsat = 0
-            for l in c.lits:
-                self.clause_occ.setdefault(l, []).append(c)
-        self.cubes = [c for c in self.cubes if not c.deleted]
         self._cube_index = {}
         for c in self.cubes:
             self._cube_index[c.lits] = c
@@ -395,25 +361,20 @@ class SolverState:
         for a model of all original clauses, or None when stable.
         """
         if full:
-            for c in self.clauses:
-                if not c.deleted and c.nsat == 0 and self._scan_clause(c):
-                    return ("conflict", c)
-            for c in self.learned_clauses:
-                if not c.deleted and c.nsat == 0 and self._scan_clause(c):
+            for c in self.clauses + self.learned_clauses:
+                if c.nsat == 0 and self._scan_clause(c):
                     return ("conflict", c)
             for c in self.cubes:
-                if (not c.deleted and c.nfalse == 0 and c.nopen <= 1
-                        and self._scan_cube(c)):
+                if c.nfalse == 0 and c.nopen <= 1 and self._scan_cube(c):
                     return ("solution", c)
         while self.qhead < len(self.trail):
             lit = self.trail[self.qhead]
             self.qhead += 1
             for c in self.clause_occ.get(-lit, ()):
-                if not c.deleted and c.nsat == 0 and self._scan_clause(c):
+                if c.nsat == 0 and self._scan_clause(c):
                     return ("conflict", c)
             for c in self.cube_occ.get(lit, ()):
-                if (not c.deleted and c.nfalse == 0 and c.nopen <= 1
-                        and self._scan_cube(c)):
+                if c.nfalse == 0 and c.nopen <= 1 and self._scan_cube(c):
                     return ("solution", c)
         if self.n_sat_orig == len(self.clauses):
             return ("solution", None)
@@ -525,170 +486,113 @@ class SolverState:
             ante = Constraint(kind, inner[0], selector=inner[1])
         return None
 
-    def _clause_asserting(self, cur: set[int], ex_lits: list[int]):
-        levels = {}
-        for l in ex_lits:
-            v = abs(l)
-            if v not in self.value or self.value[v] == (l > 0):
-                return None
-            levels[l] = self.varlevel[v]
-        d = max(levels.values())
-        if d == 0:
-            return None
-        at_d = [l for l in ex_lits if levels[l] == d]
-        if len(at_d) != 1:
-            return None
-        lstar = at_d[0]
-        if self.quantifier(abs(self.trail[self.level_lim[d]])) != EXISTS:
-            return None
-        b = max((lv for l, lv in levels.items() if l != lstar), default=0)
-        kk = self.order_key(abs(lstar))
-        sat_inner = []
-        for l in cur:
-            v = abs(l)
-            if self.quantifier(v) != FORALL:
-                continue
-            val = self.value.get(v)
-            ok = self.order_key(v)
-            if val is None:
-                if ok <= kk:
-                    return None
-            elif (l > 0) == val:
-                if ok <= kk:
-                    return None
-                sat_inner.append(self.varlevel[v])
-            else:
-                if ok <= kk:
-                    b = max(b, self.varlevel[v])
-        if b >= d:
-            return None
-        if any(lv <= b for lv in sat_inner):
-            return None
-        return b, lstar
+    def _asserting(self, cur: set[int], own: list[int], kind: str):
+        """(backjump level, asserting literal) when cur asserts, else None.
 
-    def _cube_asserting(self, cur: set[int], un_lits: list[int]):
+        own holds cur's non-assumption literals of the pivot quantifier.  All
+        must be assigned, false in a clause and true in a cube, with exactly
+        one at the deepest level, whose decision has the pivot quantifier.
+        Outer literals of the other quantifier must be assigned the same way
+        and bound the backjump level; inner ones assigned the other way must
+        stay assigned after the backjump.
+        """
+        want = kind == CUBE
         levels = {}
-        for l in un_lits:
+        for l in own:
             v = abs(l)
-            if v not in self.value:
+            val = self.value.get(v)
+            if val is None or ((l > 0) == val) != want:
                 return None
             levels[l] = self.varlevel[v]
         d = max(levels.values())
         if d == 0:
             return None
-        at_d = [l for l in un_lits if levels[l] == d]
+        at_d = [l for l in own if levels[l] == d]
         if len(at_d) != 1:
             return None
-        kstar = at_d[0]
-        if self.quantifier(abs(self.trail[self.level_lim[d]])) != FORALL:
+        lit = at_d[0]
+        own_q, other_q = (EXISTS, FORALL) if kind == CLAUSE else (FORALL, EXISTS)
+        if self.quantifier(abs(self.trail[self.level_lim[d]])) != own_q:
             return None
-        kk = self.order_key(abs(kstar))
-        b = 0
-        fals_inner = []
-        for l in un_lits:
-            if l == kstar:
-                continue
-            v = abs(l)
-            if self.value[v] == (l > 0):
-                b = max(b, levels[l])
-            else:
-                if self.order_key(v) <= kk:
-                    return None
-                fals_inner.append(levels[l])
+        b = max((lv for l, lv in levels.items() if l != lit), default=0)
+        kk = self.order_key(abs(lit))
+        inner = []
         for l in cur:
             v = abs(l)
-            if self.quantifier(v) != EXISTS:
+            if self.quantifier(v) != other_q:
                 continue
             val = self.value.get(v)
             ok = self.order_key(v)
             if val is None:
                 if ok <= kk:
                     return None
-            elif (l > 0) != val:
+            elif ((l > 0) == val) != want:
                 if ok <= kk:
                     return None
-                fals_inner.append(self.varlevel[v])
-            else:
-                if ok <= kk:
-                    b = max(b, self.varlevel[v])
-        if b >= d:
+                inner.append(self.varlevel[v])
+            elif ok <= kk:
+                b = max(b, self.varlevel[v])
+        if b >= d or any(lv <= b for lv in inner):
             return None
-        if any(lv <= b for lv in fals_inner):
-            return None
-        return b, kstar
+        return b, lit
+
+    def _analyze(self, cur: set[int], sel: int, kind: str):
+        """Resolve cur backwards along the trail until it asserts.
+
+        Returns (lits, selector, backjump level, asserting literal) or, for
+        a terminal constraint (empty modulo selector/assumption literals),
+        (lits, selector, None, None).  Returns None on the stuck corner."""
+        own_q = EXISTS if kind == CLAUSE else FORALL
+        want = kind == CUBE
+        while True:
+            cur = set(qres.reduce_lits(self, cur, kind))
+            own = [l for l in cur
+                   if self.quantifier(abs(l)) == own_q
+                   and self.reason.get(abs(l)) is not ASSUMPTION]
+            if not own:
+                self._decay()
+                return cur, sel, None, None
+            hit = self._asserting(cur, own, kind)
+            if hit is not None:
+                self._decay()
+                return cur, sel, hit[0], hit[1]
+            # pivots must be implied literals assigned the expected way
+            if any(self.value.get(abs(l)) != ((l > 0) == want) for l in own):
+                return None
+            pivot = max(own, key=lambda l: self.trailpos[abs(l)])
+            r = self.reason[abs(pivot)]
+            if not isinstance(r, Constraint):
+                return None
+            step = self._resolve_step(cur, sel, r, -pivot, kind)
+            if step is None:
+                return None
+            cur, sel = step
 
     def analyze_conflict(self, src: Constraint):
-        """Derive a learned clause from a conflicting clause.
-
-        Returns (lits, selector, backjump level, asserting literal) or, for a
-        terminal refutation (empty modulo selector/assumption literals),
-        (lits, selector, None, None).  Returns None on the stuck corner."""
-        cur = set(src.lits)
-        cur_sel = src.selector
+        """Derive a learned clause from a conflicting clause (see _analyze)."""
         self._bump_constraint(src)
-        while True:
-            cur = set(qres.reduce_lits(self, cur, CLAUSE))
-            ex = [l for l in cur
-                  if self.quantifier(abs(l)) == EXISTS
-                  and self.reason.get(abs(l)) is not ASSUMPTION]
-            if not ex:
-                self._decay()
-                return cur, cur_sel, None, None
-            hit = self._clause_asserting(cur, ex)
-            if hit is not None:
-                self._decay()
-                return cur, cur_sel, hit[0], hit[1]
-            # pivots must be falsified implied literals
-            if any(self.value.get(abs(l)) != (l < 0) for l in ex):
-                return None
-            lstar = max(ex, key=lambda l: self.trailpos[abs(l)])
-            r = self.reason[abs(lstar)]
-            if not isinstance(r, Constraint):
-                return None
-            step = self._resolve_step(cur, cur_sel, r, -lstar, CLAUSE)
-            if step is None:
-                return None
-            cur, cur_sel = step
+        return self._analyze(set(src.lits), src.selector, CLAUSE)
 
     def analyze_solution(self, src: Constraint | None):
-        """Derive a learned cube from a satisfied cube or a model of all
-        original clauses (src None).  Mirrors analyze_conflict dually."""
+        """Derive a learned cube from a satisfied cube or, when src is None,
+        from a model of all original clauses, which is also stored in
+        models (see _analyze)."""
         if src is None:
             lits = [l for l in self.trail if not self.vars[abs(l)].is_selector]
-            self.models.add(frozenset(lits))
-            cur = set(lits)
+            self.models.append(frozenset(lits))
             for l in lits:
                 self._bump_var(abs(l))
-        else:
-            cur = set(src.lits)
-            self._bump_constraint(src)
-        while True:
-            cur = set(qres.reduce_lits(self, cur, CUBE))
-            un = [l for l in cur
-                  if self.quantifier(abs(l)) == FORALL
-                  and self.reason.get(abs(l)) is not ASSUMPTION]
-            if not un:
-                self._decay()
-                return cur, None, None
-            hit = self._cube_asserting(cur, un)
-            if hit is not None:
-                self._decay()
-                return cur, hit[0], hit[1]
-            # pivots must be satisfied implied literals
-            if any(self.value.get(abs(l)) != (l > 0) for l in un):
-                return None
-            kstar = max(un, key=lambda l: self.trailpos[abs(l)])
-            r = self.reason[abs(kstar)]
-            if not isinstance(r, Constraint):
-                return None
-            step = self._resolve_step(cur, 0, r, -kstar, CUBE)
-            if step is None:
-                return None
-            cur = step[0]
+            return self._analyze(set(lits), 0, CUBE)
+        self._bump_constraint(src)
+        return self._analyze(set(src.lits), 0, CUBE)
 
     # ---- learned database reduction ----
 
     def _reduce_db(self, kind: str) -> None:
+        """Drop the less active unlocked half of one learned pool, then
+        rebuild that kind's occurrence lists from what is kept.  The lists
+        keep the pools' cid order, so propagation still meets the kept
+        constraints in the same sequence."""
         pool = self.learned_clauses if kind == CLAUSE else self.cubes
         locked = {id(r) for r in self.reason.values() if isinstance(r, Constraint)}
         ranked = sorted(pool, key=lambda c: (c.activity, -c.cid))
@@ -696,7 +600,6 @@ class SolverState:
         kept = []
         for c in ranked:
             if to_drop > 0 and id(c) not in locked:
-                c.deleted = True
                 if kind == CUBE:
                     self._cube_index.pop(c.lits, None)
                 to_drop -= 1
@@ -706,9 +609,16 @@ class SolverState:
         if kind == CLAUSE:
             self.learned_clauses = kept
             self.clause_rounds += 1
+            self.clause_occ = occ = {}
+            indexed = self.clauses + kept
         else:
             self.cubes = kept
             self.cube_rounds += 1
+            self.cube_occ = occ = {}
+            indexed = kept
+        for c in indexed:
+            for l in c.lits:
+                occ.setdefault(l, []).append(c)
 
     # ---- main search ----
 
@@ -786,7 +696,7 @@ class SolverState:
                         stuck = self._stuck_fallback(stuck)
                         event = self.propagate(full=True)
                         continue
-                    lits, blevel, assertlit = out
+                    lits, _, blevel, assertlit = out
                     if blevel is None:
                         c = self.register_cube(lits)
                         self.final_lits = c.lits

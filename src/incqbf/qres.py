@@ -1,4 +1,4 @@
-"""Q-resolution calculus: constraints, reduction, resolution, initial cubes.
+"""Q-resolution calculus: constraints, reduction, resolution.
 
 Clauses resolve on existential pivots after universal reduction of both sides;
 cubes resolve on universal pivots after existential reduction.  Tautological
@@ -24,12 +24,13 @@ class Constraint:
     selector variable id for clauses (0 when none).  The remaining fields
     belong to the engine's trail: nsat (clauses only) counts the currently
     satisfied literals; nfalse and nopen (cubes only) count the currently
-    falsified literals and the still unassigned universal literals; deleted
-    is a tombstone flag for garbage collection.
+    falsified literals and the still unassigned universal literals.  A
+    constraint dropped by database reduction simply leaves every list that
+    held it; there is no tombstone.
     """
 
     __slots__ = ("kind", "lits", "cid", "learned", "activity", "selector",
-                 "nsat", "nfalse", "nopen", "deleted")
+                 "nsat", "nfalse", "nopen")
 
     def __init__(self, kind, lits, cid=-1, learned=False, selector=0):
         if kind not in (CLAUSE, CUBE):
@@ -43,7 +44,6 @@ class Constraint:
         self.nsat = 0
         self.nfalse = 0
         self.nopen = 0
-        self.deleted = False
 
     def __repr__(self):
         return "Constraint(%s, %r, cid=%d)" % (self.kind, list(self.lits), self.cid)
@@ -66,26 +66,6 @@ def reduce_lits(prefix, lits, kind) -> tuple[int, ...]:
     return tuple(l for l in lits
                  if prefix.quantifier(abs(l)) != drop_quant
                  or prefix.order_key(abs(l)) <= bound)
-
-
-def universal_reduce(prefix, c: Constraint) -> Constraint:
-    """UR(c) for a clause: remove universal literals beyond every existential."""
-    if c.kind != CLAUSE:
-        raise UsageError("universal_reduce expects a clause")
-    lits = reduce_lits(prefix, c.lits, CLAUSE)
-    if lits == c.lits:
-        return c
-    return Constraint(CLAUSE, lits, learned=c.learned, selector=c.selector)
-
-
-def existential_reduce(prefix, c: Constraint) -> Constraint:
-    """ER(c) for a cube: remove existential literals beyond every universal."""
-    if c.kind != CUBE:
-        raise UsageError("existential_reduce expects a cube")
-    lits = reduce_lits(prefix, c.lits, CUBE)
-    if lits == c.lits:
-        return c
-    return Constraint(CUBE, lits, learned=c.learned, selector=c.selector)
 
 
 def resolve(prefix, c1: Constraint, c2: Constraint, pivot: int) -> Constraint | None:
@@ -114,19 +94,3 @@ def resolve(prefix, c1: Constraint, c2: Constraint, pivot: int) -> Constraint | 
             return None
     return Constraint(kind, merged, learned=True)
 
-
-def initial_cube(prefix, assignment_lits, exclude=(), clauses=None) -> Constraint:
-    """Build the unreduced cube of a model's literals.
-
-    assignment_lits are trail/model literals; variables in exclude (selectors)
-    are left out.  When clauses is given, the assignment is checked to satisfy
-    every one of them (model generation precondition).
-    """
-    lits = [l for l in assignment_lits if abs(l) not in exclude]
-    if clauses is not None:
-        have = set(lits)
-        for c in clauses:
-            if not any(l in have for l in c):
-                raise UsageError("assignment is not a model: clause %r unsatisfied"
-                                 % (list(c),))
-    return Constraint(CUBE, lits, learned=True)

@@ -31,13 +31,9 @@ UNSAT = False
 class Solver:
     """Incremental QCDCL solver for prenex-CNF formulas."""
 
-    def __init__(self, keep_learned: bool = True,
-                 cube_list_capacity: int = 128,
-                 cube_list_max: int = 2 ** 16,
-                 gc_min_disabled: int = 4096,
-                 gc_fraction: float = 0.25):
-        self._state = SolverState(cube_list_capacity, cube_list_max)
-        self._frames = FrameStack(self._state, gc_min_disabled, gc_fraction)
+    def __init__(self, keep_learned: bool = True):
+        self._state = SolverState()
+        self._frames = FrameStack(self._state)
         self.keep_learned = keep_learned
         self._manual_selectors: set[int] = set()
         self._used_push = False
@@ -174,6 +170,4 @@ class Solver:
     def learned_sizes(self) -> tuple[int, int, int]:
         """(learned clauses, learned cubes, stored models) right now."""
         st = self._state
-        return (len([c for c in st.learned_clauses if not c.deleted]),
-                len([c for c in st.cubes if not c.deleted]),
-                len(st.models))
+        return len(st.learned_clauses), len(st.cubes), len(st.models)

@@ -43,8 +43,8 @@ def declare_prefix(s, f):
             s.add_variable(b, v)
 
 
-def build_solver(f, keep_learned=True, **kw):
-    s = Solver(keep_learned=keep_learned, **kw)
+def build_solver(f, keep_learned=True):
+    s = Solver(keep_learned=keep_learned)
     declare_prefix(s, f)
     for c in f.clauses:
         s.add_clause(c)
@@ -122,10 +122,10 @@ class SessionShadow:
             self.popped_since = False
 
 
-def random_session(seed, keep_learned=True, max_vars=10, max_steps=40, **kw):
+def random_session(seed, keep_learned=True, max_vars=10, max_steps=40):
     """Build a Solver plus its SessionShadow over a random prefix."""
     rng = random.Random(seed)
-    s = Solver(keep_learned=keep_learned, **kw)
+    s = Solver(keep_learned=keep_learned)
     nv = rng.randint(2, max_vars)
     vids = list(range(1, nv + 1))
     nb = rng.randint(1, 4)

@@ -9,8 +9,7 @@ import random
 import time
 
 from incqbf import (CLAUSE, CUBE, EXISTS, FORALL, Constraint, Pcnf, Prefix,
-                    Solver, check_redundant, eval_pcnf, existential_reduce,
-                    resolve, universal_reduce)
+                    Solver, check_redundant, eval_pcnf, resolve)
 from incqbf.formula import _compact_prefix
 from incqbf.oracle import is_model
 from incqbf.qcdcl import SolverState
@@ -63,16 +62,16 @@ def test_acceptance_worked_example():
     c4 = Constraint(CLAUSE, (-8, -4))
     c7 = resolve(p, c3, c4, 4)
     assert c7.lits == (-1, -8)
-    assert universal_reduce(p, c7).lits == (-1,)
+    assert reduce_lits(p, c7.lits, CLAUSE) == (-1,)
     c9 = Constraint(CUBE, (6, 2, -8, -5, 4))
     assert c9.lits == (2, 4, -5, 6, -8)
-    c10 = existential_reduce(p, c9)
+    c10 = Constraint(CUBE, reduce_lits(p, c9.lits, CUBE))
     assert c10.lits == (-8,)
-    c12 = existential_reduce(p, Constraint(CUBE, (8, -4, -1, 5, 6, 2)))
+    c12 = Constraint(CUBE, reduce_lits(p, (8, -4, -1, 5, 6, 2), CUBE))
     assert c12.lits == (-1, 8)
     c13 = resolve(p, c12, c10, 8)
     assert c13.lits == (-1,)
-    assert existential_reduce(p, c13).lits == ()
+    assert reduce_lits(p, c13.lits, CUBE) == ()
     assert resolve(p, Constraint(CLAUSE, (2, 4)),
                    Constraint(CLAUSE, (-2, -4)), 4) is None
     f = worked_pcnf()
@@ -115,10 +114,11 @@ def test_acceptance_retention_scenarios():
     st = s._state
     a1 = frozenset({6, 2, -8, -5, 4})
     a2 = frozenset({8, -4, -1, 5, 6, 2})
-    st.models.entries = [a1, a2]
+    st.models.clear()
+    st.models.extend([a1, a2])
     s.add_clause((-2, -4))
     s._frames.prepare_solve(True, ())
-    assert st.models.entries == [a2]
+    assert list(st.models) == [a2]
     assert [c.lits for c in st.cubes] == [(-1, 8)]
     assert s.solve() is False
 
@@ -126,10 +126,11 @@ def test_acceptance_retention_scenarios():
     s = worked_solver(WORKED_CLAUSES[:5])
     st = s._state
     a3 = frozenset({-1, 8, -5, 2, 6, -4})
-    st.models.entries = [a3]
+    st.models.clear()
+    st.models.append(a3)
     s.add_clause((4, 5))
     s._frames.prepare_solve(True, ())
-    assert st.models.entries == []
+    assert list(st.models) == []
     assert st.cubes == []
     g = s.enabled_pcnf()
     a4 = frozenset({-1, 8, 5, 2, 6, -4})
@@ -200,16 +201,14 @@ def test_acceptance_learned_constraints_redundant():
         g = s.enabled_pcnf()
         base = eval_pcnf(g)
         for c in st.learned_clauses:
-            if not c.deleted:
-                assert check_redundant(
-                    g, Constraint(CLAUSE, c.lits, learned=True), base=base), trial
-                audited += 1
+            assert check_redundant(
+                g, Constraint(CLAUSE, c.lits, learned=True), base=base), trial
+            audited += 1
         for c in st.cubes:
-            if not c.deleted:
-                assert check_redundant(
-                    g, Constraint(CUBE, c.lits, learned=True), base=base), trial
-                audited += 1
-        for m in st.models.entries:
+            assert check_redundant(
+                g, Constraint(CUBE, c.lits, learned=True), base=base), trial
+            audited += 1
+        for m in st.models:
             assert is_model(g, m), trial
             audited += 1
     assert audited > 500

@@ -6,7 +6,7 @@ import pytest
 
 from incqbf import (EXISTS, FORALL, Pcnf, Prefix, UsageError, apply_assignment,
                     compact, eval_pcnf, normalize_clause)
-from incqbf.formula import as_assignment, compare_literals
+from incqbf.formula import as_assignment
 
 from gen import random_pcnf
 
@@ -56,9 +56,6 @@ def test_prefix_blocks_and_order():
     assert p.quantifier(7) == FORALL
     assert p.order_key(3) == 0
     assert p.order_key(7) == 1
-    assert compare_literals(p, 3, -7) == -1
-    assert compare_literals(p, -7, 3) == 1
-    assert compare_literals(p, 3, -3) == 0
     assert p.num_variables() == 2
     assert p.as_pairs() == [(EXISTS, (3,)), (FORALL, (7,))]
 

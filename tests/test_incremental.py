@@ -18,8 +18,6 @@ def audit_selectors(s, all_framed):
     st = s._state
     originals = 0
     for c in st.clauses:
-        if c.deleted:
-            continue
         sels = selector_lits(c)
         assert len(sels) <= 1
         if all_framed:
@@ -28,8 +26,6 @@ def audit_selectors(s, all_framed):
             assert sels == [c.selector]
         originals += 1
     for c in st.learned_clauses:
-        if c.deleted:
-            continue
         sels = selector_lits(c)
         assert len(sels) <= 1
         if c.selector:
@@ -161,7 +157,8 @@ def test_deletion_cleanup_repairs_stored_constraints():
     # plant a known retained state, then pop and prepare
     st.cubes = []
     st._cube_index = {}
-    st.models.entries = [frozenset({1, -2, 3})]
+    st.models.clear()
+    st.models.append(frozenset({1, -2, 3}))
     c1 = st.register_cube((1, -2))
     c2 = st.register_cube((1, -2, 3))
     c1.activity = 5.0
@@ -176,7 +173,7 @@ def test_deletion_cleanup_repairs_stored_constraints():
     # the two cubes collapse after stripping, max activity wins
     assert [c.lits for c in st.cubes] == [(1, -2)]
     assert st.cubes[0].activity == 9.0
-    assert st.models.entries == [frozenset({1, -2})]
+    assert list(st.models) == [frozenset({1, -2})]
     assert keep_taut in st.learned_clauses
     assert drop_var not in st.learned_clauses
     assert drop_sel not in st.learned_clauses
@@ -195,15 +192,18 @@ def test_addition_recheck_filters_models_and_reseeds_cubes():
     st = s._state
     st.cubes = []
     st._cube_index = {}
-    st.models.entries = [frozenset({1, 2, 3}), frozenset({1, -2, -3})]
+    st.models.clear()
+    st.models.extend([frozenset({1, 2, 3}), frozenset({1, -2, -3})])
     s.add_clause((3,))
     s._frames.prepare_solve(True, ())
-    assert st.models.entries == [frozenset({1, 2, 3})]
+    assert list(st.models) == [frozenset({1, 2, 3})]
     assert [c.lits for c in st.cubes] == [(1, 2)]
 
 
 def test_gc_drops_popped_frames_physically():
-    s = Solver(gc_min_disabled=0, gc_fraction=0.0)
+    s = Solver()
+    s._frames.GC_MIN_DISABLED = 0
+    s._frames.GC_FRACTION = 0.0
     b = s.new_block(EXISTS)
     s.add_variable(b, 1)
     s.add_variable(b, 2)
@@ -223,8 +223,9 @@ def test_gc_drops_popped_frames_physically():
 def test_gc_config_is_behavior_neutral():
     for seed in range(700, 760):
         rng, shadow, steps = random_session(seed)
-        rng2, shadow2, steps2 = random_session(
-            seed, gc_min_disabled=0, gc_fraction=0.0)
+        rng2, shadow2, steps2 = random_session(seed)
+        shadow2.solver._frames.GC_MIN_DISABLED = 0
+        shadow2.solver._frames.GC_FRACTION = 0.0
         for _ in range(steps):
             op = rng.random()
             op2 = rng2.random()

@@ -7,7 +7,7 @@ import pytest
 from incqbf import (CLAUSE, CUBE, EXISTS, FORALL, Constraint, Pcnf, Prefix,
                     UsageError, check_redundant, eval_pcnf)
 from incqbf.oracle import is_model
-from incqbf.qres import initial_cube, reduce_lits
+from incqbf.qres import reduce_lits
 
 from gen import random_pcnf
 
@@ -106,7 +106,7 @@ def test_model_cube_is_redundant():
                 break
         if model is None:
             continue
-        cube = initial_cube(f.prefix, model, clauses=f.clauses)
+        cube = Constraint(CUBE, model, learned=True)
         red = Constraint(CUBE, reduce_lits(f.prefix, cube.lits, CUBE),
                          learned=True)
         assert check_redundant(f, cube)

@@ -1,12 +1,13 @@
 """Search engine internals: propagation rules, decisions, learning loop."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from incqbf import CLAUSE, CUBE, EXISTS, FORALL, UsageError, eval_pcnf
-from incqbf import qcdcl
-from incqbf.qcdcl import (DECISION, InitialCubeList, SolverState, SolverTimeout)
+from incqbf import CLAUSE, CUBE, EXISTS, FORALL, Solver, UsageError, eval_pcnf
+from incqbf import cli, qcdcl
+from incqbf.qcdcl import DECISION, SolverState, SolverTimeout
 
 from gen import build_solver, random_pcnf, random_session
 
@@ -159,12 +160,30 @@ def cube_counters(st, c):
 
 
 def assert_cube_counters(st):
-    """Every live cube's counters agree with the trail; returns how many
-    cubes were checked."""
-    live = [c for c in st.cubes if not c.deleted]
-    for c in live:
+    """Every cube's counters agree with the trail; returns how many cubes
+    were checked."""
+    for c in st.cubes:
         assert (c.nfalse, c.nopen) == cube_counters(st, c), (c, st.trail)
-    return len(live)
+    return len(st.cubes)
+
+
+def occurrences(constraints):
+    occ = {}
+    for c in constraints:
+        for l in c.lits:
+            occ.setdefault(l, []).append(c)
+    return occ
+
+
+def assert_indexes(st):
+    """The occurrence lists hold exactly the pooled constraints, in pool
+    order, and every clause's nsat agrees with the trail."""
+    clauses = st.clauses + st.learned_clauses
+    assert st.clause_occ == occurrences(clauses)
+    assert st.cube_occ == occurrences(st.cubes)
+    for c in clauses:
+        nsat = sum(1 for l in c.lits if st.value.get(abs(l)) == (l > 0))
+        assert c.nsat == nsat, (c, st.trail)
 
 
 def test_cube_counters_for_a_cube_registered_mid_search():
@@ -208,8 +227,10 @@ def test_cube_counters_match_the_trail_in_random_sessions(monkeypatch):
         nonlocal checked, calls
         calls += 1
         checked += assert_cube_counters(st)
+        assert_indexes(st)
         event = inner(st, full)
         assert_cube_counters(st)
+        assert_indexes(st)
         return event
 
     monkeypatch.setattr(SolverState, "propagate", checked_propagate)
@@ -232,6 +253,10 @@ def test_cube_counters_match_the_trail_in_random_sessions(monkeypatch):
                 s.solve()
                 shadow.after_solve()
     assert calls > 1000 and checked > 1000, (calls, checked)
+    # the sessions learn too few clauses to reduce them; pigeonhole does
+    st = php_state(5, 4)
+    assert st.solve_core([]) is False
+    assert st.clause_rounds > 0
 
 
 def test_solve_core_worked_example():
@@ -334,16 +359,41 @@ def test_stuck_fallback_valve():
         st._stuck_fallback(qcdcl._STUCK_LIMIT)
 
 
-def test_initial_cube_list():
-    ic = InitialCubeList(capacity=2, max_capacity=4)
-    for i in range(5):
-        ic.add(frozenset([i]))
-    assert ic.capacity == 4
-    assert [sorted(m) for m in ic.entries] == [[1], [2], [3], [4]]
-    ic.capacity = 2
-    ic.trim()
-    assert [sorted(m) for m in ic.entries] == [[3], [4]]
-    assert len(ic) == 2
+def test_model_store_keeps_the_newest_models_up_to_its_bound(monkeypatch):
+    monkeypatch.setattr(qcdcl, "MODELS_MAX", 3)
+    s = Solver()
+    b = s.new_block(EXISTS)
+    for v in (1, 2, 3):
+        s.add_variable(b, v)
+    s.add_clause((1, 2))
+    s.push()
+    s.add_clause((1, 3))
+    assert s.solve() is True
+    st = s._state
+    st.models.clear()
+    m1, m2, m3, m4 = (frozenset(m) for m in
+                      ((1, 2, 3), (1, -2, 3), (-1, 2, 3), (1, 2, -3)))
+    for m in (m1, m2, m3, m4):
+        st.models.append(m)
+    # the oldest model goes first once the store is full
+    assert list(st.models) == [m2, m3, m4]
+    assert s.learned_sizes()[2] == 3
+    # the addition recheck drops m4, and the store keeps its bound
+    s.add_clause((-1, 3))
+    s._frames.prepare_solve(True, ())
+    assert list(st.models) == [m2, m3]
+    st.models.extend([m1, m4])
+    assert list(st.models) == [m3, m1, m4]
+    # the pop retires variable 3; the cleanup strips it and keeps the bound
+    s.pop()
+    s._frames.prepare_solve(True, ())
+    assert st.vars[3].removed
+    assert list(st.models) == [frozenset({-1, 2}), frozenset({1, 2}),
+                               frozenset({1, 2})]
+    st.models.append(frozenset({1, -2}))
+    assert list(st.models) == [frozenset({1, 2}), frozenset({1, 2}),
+                               frozenset({1, -2})]
+    assert s.learned_sizes()[2] == 3
 
 
 def test_selector_range_guard():
@@ -366,13 +416,63 @@ def test_learned_constraints_available_after_solve():
         g = s.enabled_pcnf()
         base = eval_pcnf(g)
         for c in st.learned_clauses:
-            if not c.deleted:
-                assert check_redundant(g, Constraint(CLAUSE, c.lits, learned=True),
-                                       base=base)
-                seen += 1
+            assert check_redundant(g, Constraint(CLAUSE, c.lits, learned=True),
+                                   base=base)
+            seen += 1
         for c in st.cubes:
-            if not c.deleted:
-                assert check_redundant(g, Constraint(CUBE, c.lits, learned=True),
-                                       base=base)
-                seen += 1
+            assert check_redundant(g, Constraint(CUBE, c.lits, learned=True),
+                                   base=base)
+            seen += 1
     assert seen > 30
+
+
+BENCH_FORWARD = (
+    "SSSUUUUUUU", "SSSSSSSSSS", "SSSUUUUUUU", "SSSSSSUUUU", "SSSSSSSSSS",
+    "SSSSSSSSSU", "SSSSUUUUUU", "SSUUUUUUUU", "SSSUUUUUUU", "SSSSUUUUUU",
+    "SSSSSUUUUU", "SSSSSSSUUU", "SSSSSSSSUU", "SSSSSSUUUU", "SSSUUUUUUU",
+    "SSSUUUUUUU", "SSSSSSSUUU", "SSSSSSSUUU", "SSUUUUUUUU", "SSSSSSSSSS",
+    "SSSSUUUUUU", "SSSSSSUUUU", "SSSSSSUUUU", "SSSSSUUUUU")
+
+# (assignments, backtracks, decisions, propagations, conflicts, solutions,
+# restarts) summed over the corpus, per direction and mode
+BENCH_COUNTS = {
+    ("forward", "keep"): (5417, 519, 1920, 2177, 137, 622, 0),
+    ("forward", "discard"): (6407, 663, 2498, 2589, 165, 738, 0),
+    ("reverse", "keep"): (3203, 103, 290, 753, 98, 221, 0),
+    ("reverse", "discard"): (5975, 514, 1875, 1940, 130, 600, 0),
+}
+
+
+def test_search_fingerprint_on_the_bench_corpus(monkeypatch):
+    """Pins the search step for step on the bundled slicing corpus.
+
+    Small learned-database caps make _reduce_db fire, so the fingerprint
+    covers propagation, analysis, decisions and database reduction.  A
+    refactor must leave these numbers alone; a change that alters the search
+    on purpose updates them and says so in CHANGES.md.
+    """
+    monkeypatch.setattr(qcdcl, "LEARNED_CAP_BASE", 8)
+    monkeypatch.setattr(qcdcl, "LEARNED_CAP_STEP", 2)
+    reduce_db = SolverState._reduce_db
+    reductions = 0
+
+    def counted_reduce_db(st, kind):
+        nonlocal reductions
+        reductions += 1
+        reduce_db(st, kind)
+
+    monkeypatch.setattr(SolverState, "_reduce_db", counted_reduce_db)
+    bench = Path(__file__).parent / "data" / "bench"
+    want = {"forward": list(BENCH_FORWARD),
+            "reverse": [v[-2::-1] for v in BENCH_FORWARD]}
+    for direction in ("forward", "reverse"):
+        report = cli.run_bench(str(bench), 10, "both", direction)
+        for mode in ("keep", "discard"):
+            totals = report["totals"][mode]
+            got = tuple(totals[k] for k in (
+                "assignments", "backtracks", "decisions", "propagations",
+                "conflicts", "solutions", "restarts"))
+            assert got == BENCH_COUNTS[direction, mode], (direction, mode)
+            verdicts = [e[mode]["verdicts"] for e in report["instances"]]
+            assert verdicts == want[direction], (direction, mode)
+    assert reductions == 53

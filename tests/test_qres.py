@@ -4,10 +4,8 @@ import random
 
 import pytest
 
-from incqbf import (CLAUSE, CUBE, EXISTS, FORALL, Constraint, Pcnf, Prefix,
-                    UsageError, existential_reduce, initial_cube, resolve,
-                    universal_reduce)
-from incqbf.qres import reduce_lits
+from incqbf import (CLAUSE, CUBE, EXISTS, FORALL, Constraint, Prefix,
+                    UsageError, reduce_lits, resolve)
 
 from gen import random_pcnf
 
@@ -40,24 +38,22 @@ def test_clause_resolution_chain():
     c7 = resolve(p, c3, c4, 4)
     assert c7.lits == (-1, -8)
     assert c7.learned
-    c8 = universal_reduce(p, c7)
-    assert c8.lits == (-1,)
+    assert reduce_lits(p, c7.lits, CLAUSE) == (-1,)
 
 
 def test_cube_resolution_chain():
     p = worked_prefix()
     a1 = Constraint(CUBE, (6, 2, -8, -5, 4))
     assert a1.lits == (2, 4, -5, 6, -8)
-    c10 = existential_reduce(p, a1)
+    c10 = Constraint(CUBE, reduce_lits(p, a1.lits, CUBE))
     assert c10.lits == (-8,)
     a2 = Constraint(CUBE, (8, -4, -1, 5, 6, 2))
-    c12 = existential_reduce(p, a2)
+    c12 = Constraint(CUBE, reduce_lits(p, a2.lits, CUBE))
     assert c12.lits == (-1, 8)
     c13 = resolve(p, c12, c10, 8)
     # sides were reduced, the union is not re-reduced
     assert c13.lits == (-1,)
-    c14 = existential_reduce(p, c13)
-    assert c14.lits == ()
+    assert reduce_lits(p, c13.lits, CUBE) == ()
 
 
 def test_resolve_tautology_returns_none():
@@ -92,8 +88,7 @@ def test_resolve_validates_pivot():
 def test_universal_reduce_respects_blocking_existential():
     p = worked_prefix()
     # universal 8 sits left of existential 4, so it stays
-    c = Constraint(CLAUSE, (-8, -4))
-    assert universal_reduce(p, c) is c
+    assert reduce_lits(p, (-8, -4), CLAUSE) == (-8, -4)
     # with only outer existential 1 the universal goes
     assert reduce_lits(p, (-1, 8), CLAUSE) == (-1,)
     assert reduce_lits(p, (8,), CLAUSE) == ()
@@ -126,22 +121,6 @@ def test_reduce_keeps_selector_literals():
     assert reduce_lits(p, (99, 8), CLAUSE) == (99,)
     assert reduce_lits(p, (1, 8), CLAUSE) == (1,)
     assert reduce_lits(p, (99, 1, 8), CLAUSE) == (99, 1)
-
-
-def test_initial_cube():
-    p = worked_prefix()
-    f = Pcnf(p)
-    for c in ((8, -5), (2, -6), (-1, 4), (-8, -4), (1, 6), (4, 5)):
-        f.add_clause(c)
-    trail = (-1, 8, -4, 6, 2, 5)
-    cube = initial_cube(p, trail, clauses=f.clauses)
-    assert cube.kind == CUBE
-    assert cube.learned
-    assert set(cube.lits) == set(trail)
-    # flipping x5 falsifies (4, 5), so the model check trips
-    with pytest.raises(UsageError):
-        initial_cube(p, (-1, 8, -4, 6, 2, -5), clauses=f.clauses)
-    assert initial_cube(p, trail, exclude=(1,)).lits == (2, -4, 5, 6, 8)
 
 
 def test_resolve_random_invariants():

@@ -13,8 +13,8 @@ from gen import build_solver, random_pcnf
 WORKED_CLAUSES = ((8, -5), (2, -6), (-1, 4), (-8, -4), (1, 6), (4, 5))
 
 
-def worked_solver(**kw):
-    s = Solver(**kw)
+def worked_solver():
+    s = Solver()
     b = s.new_block(EXISTS)
     s.add_variable(b, 1)
     b = s.new_block(FORALL)
