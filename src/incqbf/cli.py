@@ -20,13 +20,11 @@ def declare_prefix(s: Solver, f: Pcnf) -> None:
             s.add_variable(b, v)
 
 
-def from_pcnf(f: Pcnf, keep_learned: bool = True,
-              include_clauses: bool = True) -> Solver:
-    s = Solver(keep_learned=keep_learned)
+def from_pcnf(f: Pcnf) -> Solver:
+    s = Solver()
     declare_prefix(s, f)
-    if include_clauses:
-        for c in f.clauses:
-            s.add_clause(c)
+    for c in f.clauses:
+        s.add_clause(c)
     return s
 
 
@@ -44,7 +42,7 @@ def cmd_solve(args) -> int:
     except (OSError, qdimacs.ParseError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    s = from_pcnf(f, keep_learned=not args.discard_learned)
+    s = from_pcnf(f)
     try:
         verdict = s.solve(timeout_s=args.timeout_s)
     except SolverTimeout:
@@ -298,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve a QDIMACS file")
     ps.add_argument("file")
     ps.add_argument("--timeout-s", type=float, default=None)
-    ps.add_argument("--discard-learned", action="store_true",
-                    help="do not retain learned constraints")
     ps.set_defaults(func=cmd_solve)
 
     pc = sub.add_parser("script", help="run an incremental solve script")

@@ -7,22 +7,24 @@ solve time assuming a selector false enables its frame's clauses and assuming
 it true disables them.  Popping therefore never touches clause storage; the
 real cleanup (variable compaction, learned-constraint maintenance, garbage
 collection) happens lazily in prepare_solve.
+
+Selector ids grow in push order and are never reused, so the id alone orders
+frames: learning keeps the larger of two selectors, and the level-0 selector
+assumptions are listed by ascending id.
 """
 
 from __future__ import annotations
 
 from . import qres
 from .formula import EXISTS, UsageError, _compact_prefix
-from .qcdcl import SolverState
+from .qcdcl import SELECTOR_BASE, SolverState
 
 
 class Frame:
-    __slots__ = ("index", "selector", "popped", "clauses")
+    __slots__ = ("selector", "clauses")
 
-    def __init__(self, index: int, selector: int):
-        self.index = index
+    def __init__(self, selector: int):
         self.selector = selector
-        self.popped = False
         self.clauses = []
 
 
@@ -35,27 +37,25 @@ class FrameStack:
 
     def __init__(self, state: SolverState):
         self.state = state
-        self.frames: list[Frame] = []
         self.active: list[Frame] = []
+        # selectors of popped frames that garbage_collect has not dropped
+        self.popped: set[int] = set()
+        # original clauses added since the last solve and still enabled
         self.added: list = []
         self.popped_since_prepare = False
-        self.added_since_prepare = False
         self.disabled_clauses = 0
 
     # ---- stack operations ----
 
     def push(self) -> int:
-        index = len(self.frames)
-        frame = Frame(index, self.state.new_selector(index))
-        self.frames.append(frame)
-        self.active.append(frame)
+        self.active.append(Frame(self.state.new_selector()))
         return len(self.active)
 
     def pop(self) -> None:
         if not self.active:
             raise UsageError("pop on an empty frame stack")
         frame = self.active.pop()
-        frame.popped = True
+        self.popped.add(frame.selector)
         self.popped_since_prepare = True
         for c in frame.clauses:
             for l in c.lits:
@@ -82,7 +82,6 @@ class FrameStack:
         if selector:
             self.active[-1].clauses.append(c)
         self.added.append(c)
-        self.added_since_prepare = True
 
     # ---- solve preparation ----
 
@@ -92,7 +91,7 @@ class FrameStack:
         Order matters: wipe (when not keeping learned constraints), then
         deletion cleanup, then the addition recheck against the surviving
         model list, then garbage collection, then a wholesale index rebuild.
-        Returns the selector assumption literals.
+        Returns the selector assumption literals by ascending (push order) id.
         """
         st = self.state
         if not keep_learned:
@@ -103,19 +102,16 @@ class FrameStack:
         if self.popped_since_prepare:
             self._deletion_cleanup(set(keep_vars))
             self.popped_since_prepare = False
-        if self.added_since_prepare:
+        if self.added:
             self._addition_recheck()
-            self.added_since_prepare = False
-        self.added = []
+            self.added = []
         total = len(st.clauses)
         if self.disabled_clauses > max(self.GC_MIN_DISABLED,
                                        int(self.GC_FRACTION * total)):
             self.garbage_collect()
         st.rebuild_indexes()
-        out = []
-        for frame in self.frames:
-            out.append(frame.selector if frame.popped else -frame.selector)
-        return out
+        return sorted([*self.popped, *(-f.selector for f in self.active)],
+                      key=abs)
 
     def _deletion_cleanup(self, keep_vars: set[int]) -> None:
         """Compact the prefix after pops and repair stored constraints.
@@ -123,21 +119,20 @@ class FrameStack:
         A variable is deleted when no enabled original clause mentions it any
         more, unless it was declared and never used or is pinned by a pending
         assumption.  Cube and model literals over deleted variables are
-        stripped; learned clauses mentioning deleted variables are dropped
-        outright, as are learned clauses tied to a popped frame.
+        stripped, and models that then coincide are kept once.  Learned
+        clauses mentioning deleted variables are dropped outright, as are
+        learned clauses tied to a popped frame.
         """
         st = self.state
         keep = set(keep_vars)
         for vid, var in st.vars.items():
-            if var.is_selector or var.removed:
-                continue
-            if var.occ > 0 or not var.ever_occurred:
+            if vid < SELECTOR_BASE and (var.occ > 0 or not var.ever_occurred):
                 keep.add(vid)
         st.prefix, removed = _compact_prefix(st.prefix, keep)
         if not removed:
             return
         for vid in removed:
-            st.vars[vid].removed = True
+            del st.vars[vid]
         new_cubes = []
         index = {}
         for c in st.cubes:
@@ -150,20 +145,20 @@ class FrameStack:
             new_cubes.append(c)
         st.cubes = new_cubes
         st._cube_index = index
-        models = [frozenset(l for l in m if abs(l) not in removed)
-                  for m in st.models]
+        models = dict.fromkeys(frozenset(l for l in m if abs(l) not in removed)
+                               for m in st.models)
         st.models.clear()
         st.models.extend(models)
-        popped_selectors = {f.selector for f in self.frames if f.popped}
         st.learned_clauses = [
             c for c in st.learned_clauses
-            if c.selector not in popped_selectors
+            if c.selector not in self.popped
             and not any(abs(l) in removed for l in c.lits)]
 
     def _addition_recheck(self) -> None:
         """Clause additions invalidate learned cubes wholesale: wipe the cube
         database and reseed it from the stored models that still satisfy every
-        added clause (dropping the models that do not)."""
+        added clause (dropping the models that do not).  Clauses popped again
+        before the solve are not in self.added and invalidate nothing."""
         st = self.state
         st.cubes = []
         st._cube_index = {}
@@ -177,26 +172,24 @@ class FrameStack:
     def garbage_collect(self) -> None:
         """Physically drop the clauses and selectors of popped frames."""
         st = self.state
-        popped_selectors = {f.selector for f in self.frames if f.popped}
-        if not popped_selectors:
+        popped = self.popped
+        if not popped:
             return
-        st.clauses = [c for c in st.clauses
-                      if c.selector not in popped_selectors]
+        st.clauses = [c for c in st.clauses if c.selector not in popped]
         st.learned_clauses = [c for c in st.learned_clauses
-                              if c.selector not in popped_selectors]
-        self.frames = [f for f in self.frames if not f.popped]
-        for s in popped_selectors:
-            st.drop_selector(s)
+                              if c.selector not in popped]
+        for s in popped:
+            del st.vars[s]
+        self.popped = set()
         self.disabled_clauses = 0
 
     # ---- views ----
 
     def enabled_clauses(self) -> list[tuple[int, ...]]:
         """Selector-stripped literal tuples of the enabled original clauses."""
-        popped_selectors = {f.selector for f in self.frames if f.popped}
         out = []
         for c in self.state.clauses:
-            if c.selector in popped_selectors:
+            if c.selector in self.popped:
                 continue
             if c.selector:
                 out.append(tuple(l for l in c.lits if l != c.selector))

@@ -75,18 +75,14 @@ class Stats:
 
 
 class _Var:
-    __slots__ = ("vid", "quant", "is_selector", "occ", "ever_occurred",
-                 "activity", "phase", "removed")
+    __slots__ = ("quant", "occ", "ever_occurred", "activity", "phase")
 
-    def __init__(self, vid, quant, is_selector=False):
-        self.vid = vid
+    def __init__(self, quant):
         self.quant = quant
-        self.is_selector = is_selector
         self.occ = 0
         self.ever_occurred = False
         self.activity = 0.0
         self.phase = False
-        self.removed = False
 
 
 class SolverState:
@@ -95,7 +91,6 @@ class SolverState:
     def __init__(self):
         self.prefix = Prefix()
         self.vars: dict[int, _Var] = {}
-        self.selector_frames: dict[int, int] = {}
         self.next_selector = SELECTOR_BASE
         self.next_cid = 0
         self.clauses: list[Constraint] = []
@@ -129,15 +124,13 @@ class SolverState:
     # ---- ordering protocol used by qres ----
 
     def declared(self, vid: int) -> bool:
-        v = self.vars.get(vid)
-        return v is not None and not v.removed
+        return vid in self.vars
 
     def quantifier(self, vid: int) -> str:
         return self.vars[vid].quant
 
     def order_key(self, vid: int) -> int:
-        v = self.vars[vid]
-        if v.is_selector:
+        if vid >= SELECTOR_BASE:
             return 0
         return 1 + self.prefix.order_key(vid)
 
@@ -153,11 +146,10 @@ class SolverState:
             raise UsageError("cannot edit the prefix mid-solve")
         if vid >= SELECTOR_BASE:
             raise UsageError("variable id %d collides with the selector range" % vid)
-        old = self.vars.get(vid)
-        if old is not None and not old.removed:
+        if vid in self.vars:
             raise UsageError("variable %d already declared" % vid)
         self.prefix.add_variable(block_position, vid)
-        self.vars[vid] = _Var(vid, self.prefix.blocks[block_position].quantifier)
+        self.vars[vid] = _Var(self.prefix.blocks[block_position].quantifier)
 
     def adopt_variable(self, vid: int) -> None:
         """Declare a free variable in a leftmost existential user block."""
@@ -165,17 +157,12 @@ class SolverState:
             self.prefix.add_block(EXISTS, 0)
         self.declare_variable(0, vid)
 
-    def new_selector(self, frame_index: int) -> int:
+    def new_selector(self) -> int:
+        """A fresh selector id: ids grow in push order, never reused."""
         vid = self.next_selector
         self.next_selector += 1
-        var = _Var(vid, EXISTS, is_selector=True)
-        self.vars[vid] = var
-        self.selector_frames[vid] = frame_index
+        self.vars[vid] = _Var(EXISTS)
         return vid
-
-    def drop_selector(self, vid: int) -> None:
-        self.selector_frames.pop(vid, None)
-        self.vars.pop(vid, None)
 
     # ---- constraint storage ----
 
@@ -430,17 +417,16 @@ class SolverState:
     # ---- selector merge (frame-stack optimization) ----
 
     def merge_selectors(self, sel1: int, sel2: int, lits: set[int]) -> int:
-        """Keep only the temporally later frame's selector in a resolvent.
+        """Keep only the later frame's selector in a resolvent.
 
-        The later-pushed frame is popped first, so its selector alone is
-        enough to disable the clause once any contributing frame is gone.
+        Selector ids grow in push order, so the larger one belongs to the
+        later frame.  Both frames are active while the resolvent is derived,
+        so the later one is popped first and its selector alone disables
+        the clause once any contributing frame is gone.
         """
         if sel1 and sel2 and sel1 != sel2:
-            if self.selector_frames[sel1] < self.selector_frames[sel2]:
-                lits.discard(sel1)
-                return sel2
-            lits.discard(sel2)
-            return sel1
+            lits.discard(min(sel1, sel2))
+            return max(sel1, sel2)
         return sel1 or sel2
 
     # ---- conflict / solution analysis ----
@@ -578,7 +564,7 @@ class SolverState:
         from a model of all original clauses, which is also stored in
         models (see _analyze)."""
         if src is None:
-            lits = [l for l in self.trail if not self.vars[abs(l)].is_selector]
+            lits = [l for l in self.trail if abs(l) < SELECTOR_BASE]
             self.models.append(frozenset(lits))
             for l in lits:
                 self._bump_var(abs(l))
@@ -670,46 +656,32 @@ class SolverState:
                 since_restart += 1
                 if what == "conflict":
                     self.stats.conflicts += 1
-                    out = self.analyze_conflict(src)
-                    if out is None:
-                        stuck = self._stuck_fallback(stuck)
-                        event = self.propagate(full=True)
-                        continue
-                    lits, sel, blevel, assertlit = out
-                    if blevel is None:
-                        c = self.register_clause(lits, selector=sel, learned=True)
-                        self.final_lits = c.lits
-                        self.final_kind = CLAUSE
-                        verdict = False
-                        break
-                    self.backjump(blevel)
-                    c = self.register_clause(lits, selector=sel, learned=True)
-                    self._bump_constraint(c)
-                    self._imply(assertlit, c)
-                    if len(self.learned_clauses) > (LEARNED_CAP_BASE
-                                                    + LEARNED_CAP_STEP * self.clause_rounds):
-                        self._reduce_db(CLAUSE)
+                    kind, out = CLAUSE, self.analyze_conflict(src)
                 else:
                     self.stats.solutions += 1
-                    out = self.analyze_solution(src)
-                    if out is None:
-                        stuck = self._stuck_fallback(stuck)
-                        event = self.propagate(full=True)
-                        continue
-                    lits, _, blevel, assertlit = out
-                    if blevel is None:
-                        c = self.register_cube(lits)
-                        self.final_lits = c.lits
-                        self.final_kind = CUBE
-                        verdict = True
-                        break
+                    kind, out = CUBE, self.analyze_solution(src)
+                if out is None:
+                    stuck = self._stuck_fallback(stuck)
+                    event = self.propagate(full=True)
+                    continue
+                lits, sel, blevel, assertlit = out
+                if blevel is not None:
                     self.backjump(blevel)
+                if kind == CLAUSE:
+                    c = self.register_clause(lits, selector=sel, learned=True)
+                    pool, rounds = self.learned_clauses, self.clause_rounds
+                else:
                     c = self.register_cube(lits)
-                    self._bump_constraint(c)
-                    self._imply(-assertlit, c)
-                    if len(self.cubes) > (LEARNED_CAP_BASE
-                                          + LEARNED_CAP_STEP * self.cube_rounds):
-                        self._reduce_db(CUBE)
+                    pool, rounds = self.cubes, self.cube_rounds
+                if blevel is None:
+                    self.final_lits = c.lits
+                    self.final_kind = kind
+                    verdict = kind == CUBE
+                    break
+                self._bump_constraint(c)
+                self._imply(assertlit if kind == CLAUSE else -assertlit, c)
+                if len(pool) > LEARNED_CAP_BASE + LEARNED_CAP_STEP * rounds:
+                    self._reduce_db(kind)
                 event = self.propagate()
         finally:
             self.unwind()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .formula import EXISTS, FORALL, Pcnf, UsageError, normalize_clause
 from .incremental import FrameStack
-from .qcdcl import CLAUSE, CUBE, SolverState, Stats
+from .qcdcl import CLAUSE, CUBE, SELECTOR_BASE, SolverState, Stats
 
 SAT = True
 UNSAT = False
@@ -103,7 +103,7 @@ class Solver:
             raise UsageError("assumption must be a nonzero literal")
         v = abs(lit)
         st = self._state
-        if not st.declared(v) or st.vars[v].is_selector:
+        if v >= SELECTOR_BASE or not st.declared(v):
             raise UsageError("assumption on undeclared variable %d" % v)
         if -lit in self._assumptions:
             raise UsageError("contradictory assumption on variable %d" % v)

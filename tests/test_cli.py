@@ -113,8 +113,6 @@ def test_cmd_solve_exit_codes(tmp_path, capsys):
     assert "c assignments" in got and "c wall_time" in got
     assert main(["solve", str(unsat)]) == 20
     assert "s cnf UNSAT" in capsys.readouterr().out
-    assert main(["solve", str(unsat), "--discard-learned"]) == 20
-    capsys.readouterr()
 
 
 def test_cmd_solve_error_paths(tmp_path, capsys):

@@ -57,10 +57,17 @@ def test_selector_assumption_polarity():
     s.add_variable(b, 1)
     s.push()
     s.add_clause((1,))
-    sel = s._frames.frames[0].selector
+    sel = s._frames.active[0].selector
     assert s._frames.prepare_solve(True, ()) == [-sel]
     s.pop()
     assert s._frames.prepare_solve(True, ()) == [sel]
+    # popped and active frames interleave in push order
+    s.push()
+    s.push()
+    s.pop()
+    s.push()
+    a, c = (f.selector for f in s._frames.active)
+    assert s._frames.prepare_solve(True, ()) == [sel, -a, c - 1, -c]
 
 
 def test_pop_decrements_occ_and_drops_pending():
@@ -90,8 +97,8 @@ def test_pop_removes_dead_vars_at_solve():
     assert s.solve() is True
     st = s._state
     # 1 was used and dropped to zero occurrences; 2 was declared, never used
-    assert st.vars[1].removed
-    assert not st.vars[2].removed
+    assert 1 not in st.vars
+    assert 2 in st.vars
     assert st.prefix.as_pairs() == [(EXISTS, (2,))]
 
 
@@ -104,7 +111,7 @@ def test_assumption_pins_variable_against_cleanup():
     s.pop()
     s.assume(1)
     assert s.solve() is True
-    assert not s._state.vars[1].removed
+    assert 1 in s._state.vars
 
 
 def test_readoption_makes_fresh_outermost_existential():
@@ -116,7 +123,7 @@ def test_readoption_makes_fresh_outermost_existential():
     s.pop()
     assert s.solve() is True
     st = s._state
-    assert st.vars[2].removed
+    assert 2 not in st.vars
     # reusing the id re-adopts it as a fresh outermost existential
     s.add_clause((2,))
     assert st.quantifier(2) == EXISTS
@@ -126,8 +133,8 @@ def test_readoption_makes_fresh_outermost_existential():
 
 def test_merge_selectors_keeps_later_frame():
     st = SolverState()
-    s1 = st.new_selector(0)
-    s2 = st.new_selector(1)
+    s1 = st.new_selector()
+    s2 = st.new_selector()
     lits = {s1, s2, 5}
     assert st.merge_selectors(s1, s2, lits) == s2
     assert lits == {s2, 5}
@@ -151,7 +158,7 @@ def test_deletion_cleanup_repairs_stored_constraints():
     s.add_clause((1, 2))
     s.push()
     s.add_clause((1, 3))
-    sel = s._frames.frames[0].selector
+    sel = s._frames.active[0].selector
     assert s.solve() is True
     st = s._state
     # plant a known retained state, then pop and prepare
@@ -168,7 +175,7 @@ def test_deletion_cleanup_repairs_stored_constraints():
     drop_sel = st.register_clause((4, sel), selector=sel, learned=True)
     s.pop()
     s._frames.prepare_solve(True, ())
-    assert st.vars[3].removed
+    assert 3 not in st.vars
     assert st.prefix.as_pairs() == [(EXISTS, (1, 4)), (FORALL, (2,))]
     # the two cubes collapse after stripping, max activity wins
     assert [c.lits for c in st.cubes] == [(1, -2)]
@@ -215,9 +222,34 @@ def test_gc_drops_popped_frames_physically():
     assert s.solve() is True
     st = s._state
     assert len(st.clauses) == 1
-    assert len(s._frames.frames) == 1
+    assert s._frames.popped == set()
     assert s._frames.disabled_clauses == 0
-    assert len(st.selector_frames) == 1
+    assert [v for v in st.vars if v >= SELECTOR_BASE] == [
+        s._frames.active[0].selector]
+
+
+def test_gc_keeps_selector_merging_sound():
+    # after garbage collection a new frame still orders after older active
+    # frames, so the clause learned from F2's clauses dies with F2
+    s = Solver()
+    s._frames.GC_MIN_DISABLED = 0
+    s._frames.GC_FRACTION = 0.0
+    b = s.new_block(EXISTS)
+    for v in (1, 3, 4, 5):
+        s.add_variable(b, v)
+    s.push()
+    s.add_clause((5,))
+    s.pop()
+    s.push()
+    s.add_clause((-3, 4, 1))
+    s.add_clause((-3, -4, 1))
+    assert s.solve() is True
+    s.push()
+    s.add_clause((1, 3))
+    assert s.solve() is True
+    s.pop()
+    s.add_clause((-1,))
+    assert s.solve() == eval_pcnf(s.enabled_pcnf()) is True
 
 
 def test_gc_config_is_behavior_neutral():
@@ -278,6 +310,20 @@ def test_empty_cube_short_circuits_resolve():
         assert any(c.lits == () for c in s._state.learned_clauses)
         assert s.solve() is False
         assert s.stats.decisions == 0
+
+
+def test_clause_added_and_popped_before_solve_keeps_cubes():
+    s = Solver()
+    for q, v in ((EXISTS, 1), (FORALL, 2), (EXISTS, 3)):
+        s.add_variable(s.new_block(q), v)
+    s.add_clause((1, 2, 3))
+    s.add_clause((1, -2, -3))
+    assert s.solve() is True
+    s.push()
+    s.add_clause((-1,))
+    s.pop()
+    assert s.solve() is True
+    assert s.stats.decisions == 0
 
 
 def test_incremental_sessions_match_oracle():

@@ -384,15 +384,15 @@ def test_model_store_keeps_the_newest_models_up_to_its_bound(monkeypatch):
     assert list(st.models) == [m2, m3]
     st.models.extend([m1, m4])
     assert list(st.models) == [m3, m1, m4]
-    # the pop retires variable 3; the cleanup strips it and keeps the bound
+    # the pop retires variable 3; the cleanup strips it, keeps the two
+    # models that now coincide once, and keeps the bound
     s.pop()
     s._frames.prepare_solve(True, ())
-    assert st.vars[3].removed
-    assert list(st.models) == [frozenset({-1, 2}), frozenset({1, 2}),
-                               frozenset({1, 2})]
-    st.models.append(frozenset({1, -2}))
-    assert list(st.models) == [frozenset({1, 2}), frozenset({1, 2}),
-                               frozenset({1, -2})]
+    assert 3 not in st.vars
+    assert list(st.models) == [frozenset({-1, 2}), frozenset({1, 2})]
+    st.models.extend([frozenset({1, -2}), frozenset({-1, -2})])
+    assert list(st.models) == [frozenset({1, 2}), frozenset({1, -2}),
+                               frozenset({-1, -2})]
     assert s.learned_sizes()[2] == 3
 
 

@@ -184,7 +184,7 @@ def test_learned_clause_from_frame_dies_with_it():
         s.add_clause(c)
     s.push()
     s.add_clause(WORKED_CLAUSES[3])
-    sel = s._frames.frames[0].selector
+    sel = s._frames.active[0].selector
     assert s.solve() is True
     st = s._state
     # a unit consequence of the framed clause, properly tagged
