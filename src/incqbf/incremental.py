@@ -2,11 +2,12 @@
 
 Each push opens a frame with a fresh solver-managed selector variable; every
 clause added under it carries that selector as an extra positive literal.
-Selectors live in a hidden existential block outer to all user blocks, so at
-solve time assuming a selector false enables its frame's clauses and assuming
-it true disables them.  Popping therefore never touches clause storage; the
-real cleanup (variable compaction, learned-constraint maintenance, garbage
-collection) happens lazily in prepare_solve.
+Selectors live in a hidden existential block outer to all user blocks, and
+each solve assumes the active frames' selectors false, which enables their
+clauses.  Popping disposes of the frame at once: its clauses, the learned
+clauses carrying its selector, and the selector itself leave the store.
+Variable compaction and learned-constraint maintenance wait for
+prepare_solve, because pending assumptions pin variables only then.
 
 Selector ids grow in push order and are never reused, so the id alone orders
 frames: learning keeps the larger of two selectors, and the level-0 selector
@@ -16,54 +17,34 @@ assumptions are listed by ascending id.
 from __future__ import annotations
 
 from . import qres
-from .formula import EXISTS, UsageError, _compact_prefix
+from .formula import UsageError, _compact_prefix
 from .qcdcl import SELECTOR_BASE, SolverState
-
-
-class Frame:
-    __slots__ = ("selector", "clauses")
-
-    def __init__(self, selector: int):
-        self.selector = selector
-        self.clauses = []
 
 
 class FrameStack:
     """Owns the push/pop state layered over a SolverState."""
 
-    # garbage_collect runs once more clauses than both of these are disabled
-    GC_MIN_DISABLED = 4096
-    GC_FRACTION = 0.25
-
     def __init__(self, state: SolverState):
         self.state = state
-        self.active: list[Frame] = []
-        # selectors of popped frames that garbage_collect has not dropped
-        self.popped: set[int] = set()
+        # selectors of the active frames, in push (ascending id) order
+        self.active: list[int] = []
         # original clauses added since the last solve and still enabled
         self.added: list = []
         self.popped_since_prepare = False
-        self.disabled_clauses = 0
 
     # ---- stack operations ----
 
     def push(self) -> int:
-        self.active.append(Frame(self.state.new_selector()))
+        self.active.append(self.state.new_selector())
         return len(self.active)
 
     def pop(self) -> None:
         if not self.active:
             raise UsageError("pop on an empty frame stack")
-        frame = self.active.pop()
-        self.popped.add(frame.selector)
+        selector = self.active.pop()
         self.popped_since_prepare = True
-        for c in frame.clauses:
-            for l in c.lits:
-                v = abs(l)
-                if v != frame.selector:
-                    self.state.vars[v].occ -= 1
-        self.disabled_clauses += len(frame.clauses)
-        self.added = [c for c in self.added if c.selector != frame.selector]
+        self.added = [c for c in self.added if c.selector != selector]
+        self.garbage_collect(selector)
 
     def add_clause(self, lits) -> None:
         """Register an original clause under the topmost active frame.
@@ -72,15 +53,13 @@ class FrameStack:
         caller's business.
         """
         st = self.state
-        selector = self.active[-1].selector if self.active else 0
+        selector = self.active[-1] if self.active else 0
         stored = tuple(lits) + ((selector,) if selector else ())
         c = st.register_clause(stored, selector=selector, learned=False)
         for l in lits:
             var = st.vars[abs(l)]
             var.occ += 1
             var.ever_occurred = True
-        if selector:
-            self.active[-1].clauses.append(c)
         self.added.append(c)
 
     # ---- solve preparation ----
@@ -90,8 +69,8 @@ class FrameStack:
 
         Order matters: wipe (when not keeping learned constraints), then
         deletion cleanup, then the addition recheck against the surviving
-        model list, then garbage collection, then a wholesale index rebuild.
-        Returns the selector assumption literals by ascending (push order) id.
+        model list, then a wholesale index rebuild.  Returns the active
+        frames' negated selectors by ascending (push order) id.
         """
         st = self.state
         if not keep_learned:
@@ -105,13 +84,8 @@ class FrameStack:
         if self.added:
             self._addition_recheck()
             self.added = []
-        total = len(st.clauses)
-        if self.disabled_clauses > max(self.GC_MIN_DISABLED,
-                                       int(self.GC_FRACTION * total)):
-            self.garbage_collect()
         st.rebuild_indexes()
-        return sorted([*self.popped, *(-f.selector for f in self.active)],
-                      key=abs)
+        return [-s for s in self.active]
 
     def _deletion_cleanup(self, keep_vars: set[int]) -> None:
         """Compact the prefix after pops and repair stored constraints.
@@ -120,8 +94,8 @@ class FrameStack:
         more, unless it was declared and never used or is pinned by a pending
         assumption.  Cube and model literals over deleted variables are
         stripped, and models that then coincide are kept once.  Learned
-        clauses mentioning deleted variables are dropped outright, as are
-        learned clauses tied to a popped frame.
+        clauses mentioning deleted variables are dropped outright; those
+        tied to a popped frame already went with it in garbage_collect.
         """
         st = self.state
         keep = set(keep_vars)
@@ -151,8 +125,7 @@ class FrameStack:
         st.models.extend(models)
         st.learned_clauses = [
             c for c in st.learned_clauses
-            if c.selector not in self.popped
-            and not any(abs(l) in removed for l in c.lits)]
+            if not any(abs(l) in removed for l in c.lits)]
 
     def _addition_recheck(self) -> None:
         """Clause additions invalidate learned cubes wholesale: wipe the cube
@@ -169,30 +142,29 @@ class FrameStack:
         for m in survivors:
             st.register_cube(qres.reduce_lits(st, m, qres.CUBE))
 
-    def garbage_collect(self) -> None:
-        """Physically drop the clauses and selectors of popped frames."""
+    def garbage_collect(self, selector: int) -> None:
+        """Drop a popped frame: its original clauses, the learned clauses
+        carrying its selector, and the selector variable.  Frames pop last-in
+        first-out and learning keeps the larger selector, so a learned clause
+        tagged with a later frame went when that frame popped.  Cubes stay
+        valid when clauses go."""
         st = self.state
-        popped = self.popped
-        if not popped:
-            return
-        st.clauses = [c for c in st.clauses if c.selector not in popped]
+        kept = []
+        for c in st.clauses:
+            if c.selector != selector:
+                kept.append(c)
+                continue
+            for l in c.lits:
+                if abs(l) != selector:
+                    st.vars[abs(l)].occ -= 1
+        st.clauses = kept
         st.learned_clauses = [c for c in st.learned_clauses
-                              if c.selector not in popped]
-        for s in popped:
-            del st.vars[s]
-        self.popped = set()
-        self.disabled_clauses = 0
+                              if c.selector != selector]
+        del st.vars[selector]
 
     # ---- views ----
 
     def enabled_clauses(self) -> list[tuple[int, ...]]:
         """Selector-stripped literal tuples of the enabled original clauses."""
-        out = []
-        for c in self.state.clauses:
-            if c.selector in self.popped:
-                continue
-            if c.selector:
-                out.append(tuple(l for l in c.lits if l != c.selector))
-            else:
-                out.append(c.lits)
-        return out
+        return [tuple(l for l in c.lits if l != c.selector)
+                for c in self.state.clauses]

@@ -421,8 +421,8 @@ class SolverState:
 
         Selector ids grow in push order, so the larger one belongs to the
         later frame.  Both frames are active while the resolvent is derived,
-        so the later one is popped first and its selector alone disables
-        the clause once any contributing frame is gone.
+        so the later one is popped first, and that pop removes the clause
+        before any other contributing frame goes.
         """
         if sel1 and sel2 and sel1 != sel2:
             lits.discard(min(sel1, sel2))

@@ -88,7 +88,7 @@ def test_acceptance_retention_scenarios():
     s = worked_solver(WORKED_CLAUSES[:3] + WORKED_CLAUSES[4:])
     s.push()
     s.add_clause(WORKED_CLAUSES[3])
-    sel = s._frames.active[0].selector
+    sel = s._frames.active[0]
     assert s.solve() is True
     s._state.register_clause((-1, sel), selector=sel, learned=True)
     s.pop()

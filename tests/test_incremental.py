@@ -1,4 +1,4 @@
-"""Frame stack: selectors, lazy cleanup, learned-constraint retention."""
+"""Frame stack: selectors, disposal at pop, cleanup, learned retention."""
 
 import random
 
@@ -16,18 +16,23 @@ def selector_lits(c):
 
 def audit_selectors(s, all_framed):
     st = s._state
+    active = set(s._frames.active)
+    # a popped frame's selector leaves the store with it
+    assert {v for v in st.vars if v >= SELECTOR_BASE} == active
     originals = 0
     for c in st.clauses:
         sels = selector_lits(c)
         assert len(sels) <= 1
         if all_framed:
             assert len(sels) == 1
+        assert c.selector == 0 or c.selector in active
         if c.selector:
             assert sels == [c.selector]
         originals += 1
     for c in st.learned_clauses:
         sels = selector_lits(c)
         assert len(sels) <= 1
+        assert c.selector == 0 or c.selector in active
         if c.selector:
             assert sels == [c.selector]
         else:
@@ -57,17 +62,18 @@ def test_selector_assumption_polarity():
     s.add_variable(b, 1)
     s.push()
     s.add_clause((1,))
-    sel = s._frames.active[0].selector
+    sel = s._frames.active[0]
     assert s._frames.prepare_solve(True, ()) == [-sel]
     s.pop()
-    assert s._frames.prepare_solve(True, ()) == [sel]
-    # popped and active frames interleave in push order
+    assert s._frames.prepare_solve(True, ()) == []
+    # only active frames are assumed, in push order
     s.push()
     s.push()
     s.pop()
     s.push()
-    a, c = (f.selector for f in s._frames.active)
-    assert s._frames.prepare_solve(True, ()) == [sel, -a, c - 1, -c]
+    a, c = s._frames.active
+    assert a < c
+    assert s._frames.prepare_solve(True, ()) == [-a, -c]
 
 
 def test_pop_decrements_occ_and_drops_pending():
@@ -158,7 +164,7 @@ def test_deletion_cleanup_repairs_stored_constraints():
     s.add_clause((1, 2))
     s.push()
     s.add_clause((1, 3))
-    sel = s._frames.active[0].selector
+    sel = s._frames.active[0]
     assert s.solve() is True
     st = s._state
     # plant a known retained state, then pop and prepare
@@ -209,8 +215,6 @@ def test_addition_recheck_filters_models_and_reseeds_cubes():
 
 def test_gc_drops_popped_frames_physically():
     s = Solver()
-    s._frames.GC_MIN_DISABLED = 0
-    s._frames.GC_FRACTION = 0.0
     b = s.new_block(EXISTS)
     s.add_variable(b, 1)
     s.add_variable(b, 2)
@@ -218,22 +222,22 @@ def test_gc_drops_popped_frames_physically():
     s.add_clause((1, 2))
     s.push()
     s.add_clause((2,))
-    s.pop()
     assert s.solve() is True
     st = s._state
-    assert len(st.clauses) == 1
-    assert s._frames.popped == set()
-    assert s._frames.disabled_clauses == 0
-    assert [v for v in st.vars if v >= SELECTOR_BASE] == [
-        s._frames.active[0].selector]
+    sel = s._frames.active[1]
+    st.register_clause((-1, sel), selector=sel, learned=True)
+    s.pop()
+    # disposal happens at pop itself, before any solve
+    assert [c.lits for c in st.clauses] == [(1, 2, s._frames.active[0])]
+    assert all(c.selector != sel for c in st.clauses + st.learned_clauses)
+    assert sel not in st.vars
+    assert [v for v in st.vars if v >= SELECTOR_BASE] == s._frames.active
 
 
 def test_gc_keeps_selector_merging_sound():
-    # after garbage collection a new frame still orders after older active
-    # frames, so the clause learned from F2's clauses dies with F2
+    # after a popped frame is dropped a new frame still orders after older
+    # active frames, so the clause learned from F2's clauses dies with F2
     s = Solver()
-    s._frames.GC_MIN_DISABLED = 0
-    s._frames.GC_FRACTION = 0.0
     b = s.new_block(EXISTS)
     for v in (1, 3, 4, 5):
         s.add_variable(b, v)
@@ -250,34 +254,6 @@ def test_gc_keeps_selector_merging_sound():
     s.pop()
     s.add_clause((-1,))
     assert s.solve() == eval_pcnf(s.enabled_pcnf()) is True
-
-
-def test_gc_config_is_behavior_neutral():
-    for seed in range(700, 760):
-        rng, shadow, steps = random_session(seed)
-        rng2, shadow2, steps2 = random_session(seed)
-        shadow2.solver._frames.GC_MIN_DISABLED = 0
-        shadow2.solver._frames.GC_FRACTION = 0.0
-        for _ in range(steps):
-            op = rng.random()
-            op2 = rng2.random()
-            assert op == op2
-            if op < 0.2:
-                shadow.push()
-                shadow2.push()
-            elif op < 0.3 and shadow.frames:
-                shadow.pop()
-                shadow2.pop()
-            elif op < 0.8:
-                shadow.add_random_clause()
-                shadow2.add_random_clause()
-            else:
-                v1 = shadow.solver.solve()
-                v2 = shadow2.solver.solve()
-                assert v1 == v2, seed
-                shadow.after_solve()
-                shadow2.after_solve()
-        assert shadow.solver.solve() == shadow2.solver.solve()
 
 
 def test_discard_mode_wipes_at_prepare():
@@ -336,6 +312,7 @@ def test_incremental_sessions_match_oracle():
                     shadow.push()
                 elif op < 0.3 and shadow.frames:
                     shadow.pop()
+                    audit_selectors(shadow.solver, all_framed=False)
                 elif op < 0.8:
                     shadow.add_random_clause()
                 else:

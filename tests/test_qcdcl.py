@@ -438,8 +438,8 @@ BENCH_FORWARD = (
 BENCH_COUNTS = {
     ("forward", "keep"): (5417, 519, 1920, 2177, 137, 622, 0),
     ("forward", "discard"): (6407, 663, 2498, 2589, 165, 738, 0),
-    ("reverse", "keep"): (3203, 103, 290, 753, 98, 221, 0),
-    ("reverse", "discard"): (5975, 514, 1875, 1940, 130, 600, 0),
+    ("reverse", "keep"): (2123, 103, 290, 753, 98, 221, 0),
+    ("reverse", "discard"): (4895, 514, 1875, 1940, 130, 600, 0),
 }
 
 
@@ -475,4 +475,4 @@ def test_search_fingerprint_on_the_bench_corpus(monkeypatch):
             assert got == BENCH_COUNTS[direction, mode], (direction, mode)
             verdicts = [e[mode]["verdicts"] for e in report["instances"]]
             assert verdicts == want[direction], (direction, mode)
-    assert reductions == 53
+    assert reductions == 47
