@@ -221,7 +221,7 @@ def _bench_files(path: str):
     return [p]
 
 
-def run_bench(path, slices, mode, direction, timeout_s=None, seed=0):
+def run_bench(path, slices, mode, direction, timeout_s=None):
     files = _bench_files(path)
     modes = ["keep", "discard"] if mode == "both" else [mode]
     instances = []
@@ -232,8 +232,8 @@ def run_bench(path, slices, mode, direction, timeout_s=None, seed=0):
             entry[m] = run_slicing(f, slices, m == "keep", direction,
                                    timeout_s=timeout_s)
         instances.append(entry)
-    report = {"seed": seed, "slices": slices, "direction": direction,
-              "mode": mode, "instances": instances, "totals": {}}
+    report = {"slices": slices, "direction": direction, "mode": mode,
+              "instances": instances, "totals": {}}
     for m in modes:
         agg = {}
         for entry in instances:
@@ -252,7 +252,7 @@ def _fmt_row(cols, widths):
 def cmd_bench(args) -> int:
     try:
         report = run_bench(args.file, args.slices, args.mode, args.direction,
-                           timeout_s=args.timeout_s, seed=args.seed)
+                           timeout_s=args.timeout_s)
     except (OSError, UsageError, qdimacs.ParseError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
@@ -313,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="both")
     pb.add_argument("--direction", choices=("forward", "reverse"),
                     default="forward")
-    pb.add_argument("--seed", type=int, default=0,
-                    help="recorded in the JSON report")
     pb.add_argument("--timeout-s", type=float, default=None)
     pb.add_argument("--stats-json", default=None)
     pb.set_defaults(func=cmd_bench)

@@ -76,7 +76,6 @@ class FrameStack:
         if not keep_learned:
             st.learned_clauses = []
             st.cubes = []
-            st._cube_index = {}
             st.models.clear()
         if self.popped_since_prepare:
             self._deletion_cleanup(set(keep_vars))
@@ -118,7 +117,6 @@ class FrameStack:
             index[lits] = c
             new_cubes.append(c)
         st.cubes = new_cubes
-        st._cube_index = index
         models = dict.fromkeys(frozenset(l for l in m if abs(l) not in removed)
                                for m in st.models)
         st.models.clear()

@@ -23,7 +23,10 @@ ever hold live constraints.
 
 Conflict and solution analysis are one kernel, _analyze, parametrised by
 kind: a learned clause is asserting on its falsified existential literals, a
-learned cube on its satisfied universal literals.
+learned cube on its satisfied universal literals.  Resolution is
+long-distance, so a learned clause may hold a universal and its negation
+(and a cube an existential); such a constraint cannot fire once that
+variable is assigned.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ MODELS_MAX = 2 ** 16
 
 DECISION = "decision"
 ASSUMPTION = "assumption"
-
-_STUCK_LIMIT = 1000
 
 
 class SolverTimeout(Exception):
@@ -119,7 +120,6 @@ class SolverState:
         self.stats = Stats()
         self.final_lits: tuple[int, ...] | None = None
         self.final_kind: str | None = None
-        self.analysis_fallbacks = 0
 
     # ---- ordering protocol used by qres ----
 
@@ -431,47 +431,6 @@ class SolverState:
 
     # ---- conflict / solution analysis ----
 
-    def _resolve_step(self, cur: set[int], cur_sel: int, ante: Constraint,
-                      pivot_lit: int, kind: str, depth: int = 0):
-        """Resolve cur with ante on pivot_lit (a literal of ante whose negation
-        is in cur).  On a tautological tentative resolvent, strengthen the
-        antecedent side by resolving it further before merging.  Returns
-        (lits, selector) or None when no tautology-free merge is reachable."""
-        if depth > 32:
-            return None
-        need = EXISTS if kind == CLAUSE else FORALL
-        self._bump_constraint(ante)
-        for _ in range(64):
-            res = qres.resolve(self, ante, Constraint(kind, cur), pivot_lit)
-            if res is not None:
-                lits = set(res.lits)
-                sel = self.merge_selectors(cur_sel, ante.selector, lits)
-                return lits, sel
-            cands = []
-            for l in ante.lits:
-                v = abs(l)
-                if v == abs(pivot_lit) or self.quantifier(v) != need:
-                    continue
-                val = self.value.get(v)
-                if val is None:
-                    continue
-                falsified = (l > 0) != val
-                if (kind == CLAUSE) != falsified:
-                    continue
-                r = self.reason.get(v)
-                if isinstance(r, Constraint):
-                    cands.append(l)
-            if not cands:
-                return None
-            side_pivot = max(cands, key=lambda l: self.trailpos[abs(l)])
-            inner = self._resolve_step(set(ante.lits), ante.selector,
-                                       self.reason[abs(side_pivot)],
-                                       -side_pivot, kind, depth + 1)
-            if inner is None:
-                return None
-            ante = Constraint(kind, inner[0], selector=inner[1])
-        return None
-
     def _asserting(self, cur: set[int], own: list[int], kind: str):
         """(backjump level, asserting literal) when cur asserts, else None.
 
@@ -480,7 +439,7 @@ class SolverState:
         one at the deepest level, whose decision has the pivot quantifier.
         Outer literals of the other quantifier must be assigned the same way
         and bound the backjump level; inner ones assigned the other way must
-        stay assigned after the backjump.
+        be undone by the backjump.
         """
         want = kind == CUBE
         levels = {}
@@ -525,11 +484,18 @@ class SolverState:
     def _analyze(self, cur: set[int], sel: int, kind: str):
         """Resolve cur backwards along the trail until it asserts.
 
-        Returns (lits, selector, backjump level, asserting literal) or, for
-        a terminal constraint (empty modulo selector/assumption literals),
-        (lits, selector, None, None).  Returns None on the stuck corner."""
+        Each step takes the pivot-quantifier literal of cur assigned last and
+        resolves it away with its antecedent, long-distance (see qres).  The
+        step cannot be rejected: both sides are false (clauses) or true
+        (cubes) on every other pivot-quantifier literal, and a clash of the
+        other quantifier was still unassigned when the antecedent fired,
+        which puts it right of the pivot.  The antecedent's other
+        pivot-quantifier literals precede the pivot on the trail, so the
+        loop ends.  Returns
+        (lits, selector, backjump level, asserting literal) or, for a
+        terminal constraint (empty modulo selector/assumption literals),
+        (lits, selector, None, None)."""
         own_q = EXISTS if kind == CLAUSE else FORALL
-        want = kind == CUBE
         while True:
             cur = set(qres.reduce_lits(self, cur, kind))
             own = [l for l in cur
@@ -542,17 +508,12 @@ class SolverState:
             if hit is not None:
                 self._decay()
                 return cur, sel, hit[0], hit[1]
-            # pivots must be implied literals assigned the expected way
-            if any(self.value.get(abs(l)) != ((l > 0) == want) for l in own):
-                return None
             pivot = max(own, key=lambda l: self.trailpos[abs(l)])
-            r = self.reason[abs(pivot)]
-            if not isinstance(r, Constraint):
-                return None
-            step = self._resolve_step(cur, sel, r, -pivot, kind)
-            if step is None:
-                return None
-            cur, sel = step
+            ante = self.reason[abs(pivot)]
+            self._bump_constraint(ante)
+            res = qres.resolve(self, ante, Constraint(kind, cur), -pivot)
+            cur = set(res.lits)
+            sel = self.merge_selectors(sel, ante.selector, cur)
 
     def analyze_conflict(self, src: Constraint):
         """Derive a learned clause from a conflicting clause (see _analyze)."""
@@ -622,7 +583,6 @@ class SolverState:
         self.final_lits = None
         self.final_kind = None
         self.in_solve = True
-        stuck = 0
         restart_limit = RESTART_FIRST
         since_restart = 0
         ticks = 0
@@ -660,10 +620,6 @@ class SolverState:
                 else:
                     self.stats.solutions += 1
                     kind, out = CUBE, self.analyze_solution(src)
-                if out is None:
-                    stuck = self._stuck_fallback(stuck)
-                    event = self.propagate(full=True)
-                    continue
                 lits, sel, blevel, assertlit = out
                 if blevel is not None:
                     self.backjump(blevel)
@@ -688,14 +644,3 @@ class SolverState:
             self.in_solve = False
             self.stats.wall_time = time.perf_counter() - t0
         return verdict
-
-    def _stuck_fallback(self, stuck: int) -> int:
-        """Sound escape hatch for a non-asserting, non-resolvable resolvent:
-        restart without learning."""
-        stuck += 1
-        self.analysis_fallbacks += 1
-        if stuck > _STUCK_LIMIT:
-            raise RuntimeError("analysis failed to make progress")
-        if self.level > 0:
-            self.backjump(0)
-        return stuck

@@ -1,8 +1,11 @@
 """Q-resolution calculus: constraints, reduction, resolution.
 
 Clauses resolve on existential pivots after universal reduction of both sides;
-cubes resolve on universal pivots after existential reduction.  Tautological
-(resp. contradictory) tentative resolvents are rejected, never repaired.
+cubes resolve on universal pivots after existential reduction.  Resolution is
+long-distance (Balabanov & Jiang, FMSD 2012; Egly, Lonsing & Widl, LPAR 2013):
+a clause resolvent may keep a universal u and -u together when u lies right of
+the pivot in the prefix, and a cube resolvent likewise an existential.  Any
+other clash between the two premises is rejected.
 
 The functions only need an ordering object with order_key(vid) and
 quantifier(vid); formula.Prefix provides one, and the solver engine provides
@@ -20,7 +23,9 @@ CUBE = "cube"
 class Constraint:
     """A clause or cube plus solver bookkeeping.
 
-    lits is a tuple sorted by variable id.  selector is the managing frame's
+    lits is a tuple sorted by variable id; a learned clause may hold a
+    universal and its negation (a merged literal), a learned cube an
+    existential and its negation.  selector is the managing frame's
     selector variable id for clauses (0 when none).  The remaining fields
     belong to the engine's trail: nsat (clauses only) counts the currently
     satisfied literals; nfalse and nopen (cubes only) count the currently
@@ -73,8 +78,11 @@ def resolve(prefix, c1: Constraint, c2: Constraint, pivot: int) -> Constraint | 
 
     pivot must occur in c1 and its negation in c2; the pivot variable must be
     existential for clauses and universal for cubes.  Both sides are reduced
-    before merging.  Returns None when the tentative resolvent is tautological
-    (clauses) or contradictory (cubes); the union is not reduced further.
+    before merging, and the union is not reduced further.  Returns None when
+    the sides clash on a variable other than the pivot that has the pivot's
+    quantifier or lies at or left of the pivot; a pair of the other
+    quantifier right of the pivot is merged, and so is a pair that one side
+    already holds.
     """
     if c1.kind != c2.kind:
         raise UsageError("cannot resolve a clause with a cube")
@@ -88,9 +96,10 @@ def resolve(prefix, c1: Constraint, c2: Constraint, pivot: int) -> Constraint | 
     side2 = set(reduce_lits(prefix, c2.lits, kind))
     side1.discard(pivot)
     side2.discard(-pivot)
-    merged = side1 | side2
-    for l in merged:
-        if -l in merged:
+    pk = prefix.order_key(abs(pivot))
+    for l in side1:
+        if -l in side2 and (prefix.quantifier(abs(l)) == need
+                            or prefix.order_key(abs(l)) <= pk):
             return None
-    return Constraint(kind, merged, learned=True)
+    return Constraint(kind, side1 | side2, learned=True)
 

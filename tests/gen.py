@@ -4,6 +4,7 @@ Everything is driven by explicit random.Random instances so failures
 reproduce from the seed printed in the assertion message.
 """
 
+import itertools
 import random
 
 from incqbf import EXISTS, FORALL, Pcnf, Prefix
@@ -33,6 +34,78 @@ def random_pcnf(rng, max_vars=12, max_blocks=4, max_clauses=30,
         width = rng.randint(1, min(max_width, nv))
         vs = rng.sample(range(1, nv + 1), width)
         f.add_clause([v if rng.random() < 0.5 else -v for v in vs])
+    return f
+
+
+def universal_expansion(f):
+    """The purely existential CNF that expands every universal of f.
+
+    An existential gets one copy per assignment of the universals left of
+    it.  Each clause is instantiated under every universal assignment that
+    does not satisfy it, its existentials renamed to the copies that the
+    assignment selects.  f is true iff the result is satisfiable.
+    """
+    p = f.prefix
+    univ = [v for v in p.variables() if p.quantifier(v) == FORALL]
+    g = Pcnf(Prefix())
+    block = g.prefix.add_block(EXISTS)
+    copies = {}
+
+    def copy(v, tau):
+        key = (v, tuple(val for u, val in zip(univ, tau)
+                        if p.order_key(u) < p.order_key(v)))
+        if key not in copies:
+            copies[key] = len(copies) + 1
+            g.prefix.add_variable(block, copies[key])
+        return copies[key]
+
+    for tau in itertools.product((False, True), repeat=len(univ)):
+        val = dict(zip(univ, tau))
+        for c in f.clauses:
+            if not any(val.get(abs(l)) == (l > 0) for l in c):
+                g.add_clause([copy(l, tau) if l > 0 else -copy(-l, tau)
+                              for l in c if abs(l) not in val])
+    return g
+
+
+def kbkf(t):
+    """KBKF_t (Kleine Buening, Karpinski, Floegel 1995), false for every t:
+    exists d0 d1 e1, forall x1, exists d2 e2, ..., forall xt, exists f1..ft
+    over the 4t+1 variables d0 = 1, (dj, ej, xj) = 3j-1, 3j, 3j+1 and
+    fj = 3t+1+j.  Its Q-resolution refutations grow exponentially in t, its
+    long-distance ones polynomially."""
+    def d(j):
+        return 1 if j == 0 else 3 * j - 1
+
+    def e(j):
+        return 3 * j
+
+    def x(j):
+        return 3 * j + 1
+
+    fs = [3 * t + 1 + j for j in range(1, t + 1)]
+    f = Pcnf(Prefix())
+    b = f.prefix.add_block(EXISTS)
+    f.prefix.add_variable(b, d(0))
+    for j in range(1, t + 1):
+        b = f.prefix.add_block(EXISTS)
+        f.prefix.add_variable(b, d(j))
+        f.prefix.add_variable(b, e(j))
+        b = f.prefix.add_block(FORALL)
+        f.prefix.add_variable(b, x(j))
+    b = f.prefix.add_block(EXISTS)
+    for v in fs:
+        f.prefix.add_variable(b, v)
+    f.add_clause([-d(0)])
+    f.add_clause([d(0), -d(1), -e(1)])
+    for j in range(1, t):
+        f.add_clause([d(j), x(j), -d(j + 1), -e(j + 1)])
+        f.add_clause([e(j), -x(j), -d(j + 1), -e(j + 1)])
+    f.add_clause([d(t), x(t)] + [-v for v in fs])
+    f.add_clause([e(t), -x(t)] + [-v for v in fs])
+    for j in range(1, t + 1):
+        f.add_clause([x(j), fs[j - 1]])
+        f.add_clause([-x(j), fs[j - 1]])
     return f
 
 

@@ -351,14 +351,6 @@ def test_timeout():
         fresh.solve_core([], timeout_s=1e-9)
 
 
-def test_stuck_fallback_valve():
-    st = state([(EXISTS, (1,))])
-    n = st._stuck_fallback(0)
-    assert n == 1 and st.analysis_fallbacks == 1
-    with pytest.raises(RuntimeError):
-        st._stuck_fallback(qcdcl._STUCK_LIMIT)
-
-
 def test_model_store_keeps_the_newest_models_up_to_its_bound(monkeypatch):
     monkeypatch.setattr(qcdcl, "MODELS_MAX", 3)
     s = Solver()

@@ -123,29 +123,69 @@ def test_reduce_keeps_selector_literals():
     assert reduce_lits(p, (99, 1, 8), CLAUSE) == (99, 1)
 
 
+def test_long_distance_merge_right_of_pivot():
+    p = worked_prefix()
+    # universal 8 lies right of pivot 1: the pair is merged, not rejected
+    r = resolve(p, Constraint(CLAUSE, (1, 8, 4)),
+                Constraint(CLAUSE, (-1, -8, 2)), 1)
+    assert r.lits == (2, 4, -8, 8)
+    # a merged pair one side already holds is carried over
+    r2 = resolve(p, r, Constraint(CLAUSE, (-2, 6)), 2)
+    assert r2.lits == (4, 6, -8, 8)
+
+
+def test_long_distance_rejects_merge_left_of_pivot():
+    p = worked_prefix()
+    # universal 8 lies left of pivot 4
+    assert resolve(p, Constraint(CLAUSE, (2, 4, 8)),
+                   Constraint(CLAUSE, (-4, -8)), 4) is None
+    # so does the pair that premise r holds when the other side has 8 alone
+    r = resolve(p, Constraint(CLAUSE, (1, 8, 4)),
+                Constraint(CLAUSE, (-1, -8, 2)), 1)
+    assert resolve(p, r, Constraint(CLAUSE, (-4, 8, 5)), 4) is None
+
+
 def test_resolve_random_invariants():
+    """Long-distance resolution of random clauses and cubes, some premises
+    holding a merged pair, against the rule recomputed from reduced sides."""
     rng = random.Random(4002)
-    done = 0
+    merged = rejected = 0
     for _ in range(2000):
-        f = random_pcnf(rng, max_vars=9, max_clauses=12, min_clauses=2)
-        cs = [Constraint(CLAUSE, c) for c in f.clauses]
-        c1 = rng.choice(cs)
-        pivots = [l for l in c1.lits if f.prefix.quantifier(abs(l)) == EXISTS]
-        if not pivots:
+        prefix = random_pcnf(rng, max_vars=10, max_blocks=5).prefix
+        kind = rng.choice((CLAUSE, CUBE))
+        need = EXISTS if kind == CLAUSE else FORALL
+        q = prefix.quantifier
+        vs = list(prefix.variables())
+        pivots = [v for v in vs if q(v) == need]
+        if not pivots or len(vs) < 3:
             continue
-        piv = rng.choice(pivots)
-        mates = [c for c in cs if -piv in c.lits]
-        if not mates:
+        # an outer pivot leaves more room for merged pairs right of it
+        piv = rng.choice(pivots[:2]) * rng.choice((1, -1))
+        rest = [v for v in vs if v != abs(piv)]
+        c1 = {v * rng.choice((1, -1))
+              for v in rng.sample(rest, rng.randint(1, len(rest)))}
+        # on shared pivot-quantifier variables the premises mostly agree
+        c2 = set()
+        for v in rng.sample(rest, rng.randint(1, len(rest))):
+            l = v * rng.choice((1, -1))
+            if -l in c1 and q(v) == need and rng.random() < 0.9:
+                l = -l
+            c2.add(l)
+        if rng.random() < 0.3:
+            v = rng.choice(rest)
+            rng.choice((c1, c2)).update((v, -v))
+        c1.add(piv)
+        c2.add(-piv)
+        r = resolve(prefix, Constraint(kind, c1), Constraint(kind, c2), piv)
+        s1 = set(reduce_lits(prefix, tuple(c1), kind)) - {piv}
+        s2 = set(reduce_lits(prefix, tuple(c2), kind)) - {-piv}
+        pk = prefix.order_key(abs(piv))
+        clash = {abs(l) for l in s1 if -l in s2}
+        if any(q(v) == need or prefix.order_key(v) <= pk for v in clash):
+            assert r is None
+            rejected += 1
             continue
-        c2 = rng.choice(mates)
-        r = resolve(f.prefix, c1, c2, piv)
-        if r is None:
-            union = set(c1.lits) | set(c2.lits)
-            assert any(-l in union for l in union if abs(l) != abs(piv))
-            continue
-        assert piv not in r.lits and -piv not in r.lits
-        assert not any(-l in r.lits for l in r.lits)
-        assert set(r.lits) <= (set(c1.lits) | set(c2.lits)) - {piv, -piv}
-        assert r.learned
-        done += 1
-    assert done > 200
+        assert r is not None and r.kind == kind and r.learned
+        assert set(r.lits) == s1 | s2
+        merged += bool(clash)
+    assert merged > 30 and rejected > 200
