@@ -2,12 +2,12 @@
 
 Each push opens a frame with a fresh solver-managed selector variable; every
 clause added under it carries that selector as an extra positive literal.
-Selectors live in a hidden existential block outer to all user blocks, and
-each solve assumes the active frames' selectors false, which enables their
-clauses.  Popping disposes of the frame at once: its clauses, the learned
-clauses carrying its selector, and the selector itself leave the store.
-Variable compaction and learned-constraint maintenance wait for
-prepare_solve, because pending assumptions pin variables only then.
+Each solve assumes the active frames' selectors false, which enables their
+clauses; like every assumed variable they precede all blocks in that solve.
+Popping disposes of the frame at once: its clauses, the learned clauses
+carrying its selector, and the selector itself leave the store.  Variable
+compaction and learned-constraint maintenance wait for prepare_solve,
+because pending assumptions pin variables only then.
 
 Selector ids grow in push order and are never reused, so the id alone orders
 frames: learning keeps the larger of two selectors, and the level-0 selector
@@ -17,8 +17,8 @@ assumptions are listed by ascending id.
 from __future__ import annotations
 
 from . import qres
-from .formula import UsageError, _compact_prefix
-from .qcdcl import SELECTOR_BASE, SolverState
+from .formula import EXISTS, FORALL, UsageError, _compact_prefix
+from .qcdcl import SolverState
 
 
 class FrameStack:
@@ -57,50 +57,57 @@ class FrameStack:
         stored = tuple(lits) + ((selector,) if selector else ())
         c = st.register_clause(stored, selector=selector, learned=False)
         for l in lits:
-            var = st.vars[abs(l)]
-            var.occ += 1
-            var.ever_occurred = True
+            st.vars[abs(l)].ever_occurred = True
         self.added.append(c)
 
     # ---- solve preparation ----
 
-    def prepare_solve(self, keep_learned: bool, keep_vars=()) -> list[int]:
-        """Bring the state in sync with stack edits since the last solve.
+    def prepare_solve(self, keep_learned: bool, assumed=()) -> list[int]:
+        """Bring the state in sync with the edits since the last solve.
 
-        Order matters: wipe (when not keeping learned constraints), then
-        deletion cleanup, then the addition recheck against the surviving
-        model list, then a wholesale index rebuild.  Returns the active
-        frames' negated selectors by ascending (push order) id.
+        assumed holds the variables of the coming solve's user assumptions;
+        with the active selectors they become state.assumed.  A constraint
+        learned while a variable was not assumed may have reduced it away,
+        so a newly assumed universal wipes the learned clauses and a newly
+        assumed existential the cubes (selectors occur in no cube).
+
+        Order matters: wipe, then deletion cleanup, then the addition
+        recheck, which reseeds the cubes from the stored models, then a
+        wholesale index rebuild.  Returns the active frames' negated
+        selectors by ascending (push order) id.
         """
         st = self.state
+        new = {st.quantifier(v) for v in set(assumed) - st.assumed}
+        st.assumed = set(assumed).union(self.active)
         if not keep_learned:
             st.learned_clauses = []
             st.cubes = []
             st.models.clear()
+        elif FORALL in new:
+            st.learned_clauses = []
         if self.popped_since_prepare:
-            self._deletion_cleanup(set(keep_vars))
+            self._deletion_cleanup()
             self.popped_since_prepare = False
-        if self.added:
+        if self.added or EXISTS in new:
             self._addition_recheck()
             self.added = []
         st.rebuild_indexes()
         return [-s for s in self.active]
 
-    def _deletion_cleanup(self, keep_vars: set[int]) -> None:
+    def _deletion_cleanup(self) -> None:
         """Compact the prefix after pops and repair stored constraints.
 
         A variable is deleted when no enabled original clause mentions it any
-        more, unless it was declared and never used or is pinned by a pending
-        assumption.  Cube and model literals over deleted variables are
+        more, unless it was declared and never used or the coming solve
+        assumes it.  Cube and model literals over deleted variables are
         stripped, and models that then coincide are kept once.  Learned
         clauses mentioning deleted variables are dropped outright; those
         tied to a popped frame already went with it in garbage_collect.
         """
         st = self.state
-        keep = set(keep_vars)
-        for vid, var in st.vars.items():
-            if vid < SELECTOR_BASE and (var.occ > 0 or not var.ever_occurred):
-                keep.add(vid)
+        used = {abs(l) for c in st.clauses for l in c.lits}
+        keep = {vid for vid, var in st.vars.items()
+                if vid in used or vid in st.assumed or not var.ever_occurred}
         st.prefix, removed = _compact_prefix(st.prefix, keep)
         if not removed:
             return
@@ -126,10 +133,10 @@ class FrameStack:
             if not any(abs(l) in removed for l in c.lits)]
 
     def _addition_recheck(self) -> None:
-        """Clause additions invalidate learned cubes wholesale: wipe the cube
-        database and reseed it from the stored models that still satisfy every
-        added clause (dropping the models that do not).  Clauses popped again
-        before the solve are not in self.added and invalidate nothing."""
+        """Clause additions (and new existential assumptions) invalidate
+        learned cubes wholesale: wipe the cube database and reseed it from the
+        stored models that satisfy every added clause, dropping the others.
+        Clauses popped before the solve are not in self.added."""
         st = self.state
         st.cubes = []
         st._cube_index = {}
@@ -147,15 +154,7 @@ class FrameStack:
         tagged with a later frame went when that frame popped.  Cubes stay
         valid when clauses go."""
         st = self.state
-        kept = []
-        for c in st.clauses:
-            if c.selector != selector:
-                kept.append(c)
-                continue
-            for l in c.lits:
-                if abs(l) != selector:
-                    st.vars[abs(l)].occ -= 1
-        st.clauses = kept
+        st.clauses = [c for c in st.clauses if c.selector != selector]
         st.learned_clauses = [c for c in st.learned_clauses
                               if c.selector != selector]
         del st.vars[selector]

@@ -2,9 +2,10 @@
 
 The engine works on a mutable SolverState: a user-visible quantifier prefix,
 original and learned constraints, and a trail of assignments with decision
-levels and antecedents.  Solver-managed selector variables live in a hidden
-existential block outer to every user block; the state object itself acts as
-the ordering object consumed by the qres calculus.
+levels and antecedents.  The state object itself acts as the ordering object
+consumed by the qres calculus: each variable assumed in the current solve
+(frame selectors and user assumptions) sits in front of every block, so
+reduction never drops an assumption literal that a constraint depends on.
 
 Propagation is a fixed point of five rules: unit clauses after universal
 reduction imply their existential literal, unit cubes after existential
@@ -75,12 +76,20 @@ class Stats:
         return asdict(self)
 
 
+def _occurrences(constraints) -> dict[int, list[Constraint]]:
+    """Literal -> the constraints holding it, in the order given."""
+    occ: dict[int, list[Constraint]] = {}
+    for c in constraints:
+        for l in c.lits:
+            occ.setdefault(l, []).append(c)
+    return occ
+
+
 class _Var:
-    __slots__ = ("quant", "occ", "ever_occurred", "activity", "phase")
+    __slots__ = ("quant", "ever_occurred", "activity", "phase")
 
     def __init__(self, quant):
         self.quant = quant
-        self.occ = 0
         self.ever_occurred = False
         self.activity = 0.0
         self.phase = False
@@ -99,6 +108,8 @@ class SolverState:
         self.cubes: list[Constraint] = []
         self._cube_index: dict[tuple, Constraint] = {}
         self.models: deque[frozenset[int]] = deque(maxlen=MODELS_MAX)
+        # variables assumed in the current (or coming) solve; see order_key
+        self.assumed: set[int] = set()
         self.clause_occ: dict[int, list[Constraint]] = {}
         self.cube_occ: dict[int, list[Constraint]] = {}
         self.n_sat_orig = 0
@@ -130,9 +141,9 @@ class SolverState:
         return self.vars[vid].quant
 
     def order_key(self, vid: int) -> int:
-        if vid >= SELECTOR_BASE:
-            return 0
-        return 1 + self.prefix.order_key(vid)
+        if vid in self.assumed:
+            return -1
+        return self.prefix.order_key(vid)
 
     # ---- declarations ----
 
@@ -174,8 +185,6 @@ class SolverState:
         for l in c.lits:
             self.clause_occ.setdefault(l, []).append(c)
         c.nsat = sum(1 for l in c.lits if self.value.get(abs(l)) == (l > 0))
-        if not learned and c.nsat > 0:
-            self.n_sat_orig += 1
         if learned:
             c.activity = self.cla_inc
         return c
@@ -205,22 +214,16 @@ class SolverState:
         """Recompute occurrence lists and satisfaction counters from the live
         constraint lists.  Only valid with an empty trail."""
         assert not self.trail
-        self.clause_occ = {}
-        self.cube_occ = {}
         self.n_sat_orig = 0
-        for c in self.clauses + self.learned_clauses:
+        clauses = self.clauses + self.learned_clauses
+        for c in clauses:
             c.nsat = 0
-            for l in c.lits:
-                self.clause_occ.setdefault(l, []).append(c)
-        self._cube_index = {}
         for c in self.cubes:
-            self._cube_index[c.lits] = c
             c.nfalse = 0
-            c.nopen = 0
-            for l in c.lits:
-                self.cube_occ.setdefault(l, []).append(c)
-                if self.vars[abs(l)].quant == FORALL:
-                    c.nopen += 1
+            c.nopen = sum(1 for l in c.lits if self.vars[abs(l)].quant == FORALL)
+        self.clause_occ = _occurrences(clauses)
+        self.cube_occ = _occurrences(self.cubes)
+        self._cube_index = {c.lits: c for c in self.cubes}
 
     # ---- trail ----
 
@@ -297,18 +300,15 @@ class SolverState:
 
     def _scan_clause(self, c: Constraint):
         """Returns "conflict" when c is falsified modulo universal reduction;
-        may imply a unit existential literal."""
+        may imply a unit existential literal.  Called only when c.nsat == 0."""
         un_e = []
         un_u = []
         for l in c.lits:
-            val = self.value.get(abs(l))
-            if val is None:
+            if abs(l) not in self.value:
                 if self.quantifier(abs(l)) == EXISTS:
                     un_e.append(l)
                 else:
                     un_u.append(l)
-            elif (l > 0) == val:
-                return None
         if not un_e:
             return "conflict"
         if len(un_e) == 1:
@@ -320,18 +320,15 @@ class SolverState:
 
     def _scan_cube(self, c: Constraint):
         """Returns "solution" when c is satisfied; may imply the negation of a
-        unit universal literal."""
+        unit universal literal.  Called only when c.nfalse == 0."""
         un_e = []
         un_u = []
         for l in c.lits:
-            val = self.value.get(abs(l))
-            if val is None:
+            if abs(l) not in self.value:
                 if self.quantifier(abs(l)) == EXISTS:
                     un_e.append(l)
                 else:
                     un_u.append(l)
-            elif (l > 0) != val:
-                return None
         if not un_e and not un_u:
             return "solution"
         if len(un_u) == 1:
@@ -369,9 +366,10 @@ class SolverState:
 
     # ---- decisions ----
 
-    def decide(self) -> bool:
+    def decide(self) -> None:
         """Decide the best unassigned variable of the outermost undecided
-        block.  Returns False when every user variable is assigned."""
+        block.  One is always left: on a full assignment every clause is
+        satisfied or was scanned falsified, so propagate stops first."""
         for blk in self.prefix.blocks:
             best = None
             best_act = -1.0
@@ -387,8 +385,7 @@ class SolverState:
                 self.level_lim.append(len(self.trail))
                 self.stats.decisions += 1
                 self.assign(best if self.vars[best].phase else -best, DECISION)
-                return True
-        return False
+                return
 
     # ---- activity ----
 
@@ -434,21 +431,16 @@ class SolverState:
     def _asserting(self, cur: set[int], own: list[int], kind: str):
         """(backjump level, asserting literal) when cur asserts, else None.
 
-        own holds cur's non-assumption literals of the pivot quantifier.  All
-        must be assigned, false in a clause and true in a cube, with exactly
-        one at the deepest level, whose decision has the pivot quantifier.
+        own holds cur's non-assumption literals of the pivot quantifier.
+        Analysis keeps them all assigned, false in a clause and true in a
+        cube; cur asserts when exactly one is at the deepest level and that
+        level's decision has the pivot quantifier.
         Outer literals of the other quantifier must be assigned the same way
         and bound the backjump level; inner ones assigned the other way must
         be undone by the backjump.
         """
         want = kind == CUBE
-        levels = {}
-        for l in own:
-            v = abs(l)
-            val = self.value.get(v)
-            if val is None or ((l > 0) == val) != want:
-                return None
-            levels[l] = self.varlevel[v]
+        levels = {l: self.varlevel[abs(l)] for l in own}
         d = max(levels.values())
         if d == 0:
             return None
@@ -556,16 +548,11 @@ class SolverState:
         if kind == CLAUSE:
             self.learned_clauses = kept
             self.clause_rounds += 1
-            self.clause_occ = occ = {}
-            indexed = self.clauses + kept
+            self.clause_occ = _occurrences(self.clauses + kept)
         else:
             self.cubes = kept
             self.cube_rounds += 1
-            self.cube_occ = occ = {}
-            indexed = kept
-        for c in indexed:
-            for l in c.lits:
-                occ.setdefault(l, []).append(c)
+            self.cube_occ = _occurrences(kept)
 
     # ---- main search ----
 
@@ -573,8 +560,9 @@ class SolverState:
         """Run QCDCL to a verdict under level-0 assumptions.
 
         assumptions is the full level-0 literal list (selector literals first,
-        then user assumptions).  Returns True for satisfiable.  The terminal
-        constraint is stored in final_lits/final_kind.
+        then user assumptions), whose variables prepare_solve put in assumed.
+        Returns True for satisfiable.  The terminal constraint is stored in
+        final_lits/final_kind.
         """
         if self.in_solve:
             raise UsageError("solve_core is not reentrant")
@@ -607,9 +595,7 @@ class SolverState:
                         since_restart = 0
                         self.stats.restarts += 1
                         self.backjump(0)
-                    if not self.decide():
-                        event = ("solution", None)
-                        continue
+                    self.decide()
                     event = self.propagate()
                     continue
                 what, src = event

@@ -9,7 +9,8 @@ other clash between the two premises is rejected.
 
 The functions only need an ordering object with order_key(vid) and
 quantifier(vid); formula.Prefix provides one, and the solver engine provides
-its own view that places selector variables in a hidden outermost block.
+its own view that places every variable assumed in the current solve in
+front of all blocks.
 """
 
 from __future__ import annotations

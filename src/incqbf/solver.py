@@ -20,9 +20,9 @@ in which case every call starts from a bare constraint database.
 
 from __future__ import annotations
 
-from .formula import EXISTS, FORALL, Pcnf, UsageError, normalize_clause
+from .formula import EXISTS, Pcnf, UsageError, normalize_clause
 from .incremental import FrameStack
-from .qcdcl import CLAUSE, CUBE, SELECTOR_BASE, SolverState, Stats
+from .qcdcl import SELECTOR_BASE, SolverState, Stats
 
 SAT = True
 UNSAT = False
@@ -38,9 +38,8 @@ class Solver:
         self._manual_selectors: set[int] = set()
         self._used_push = False
         self._assumptions: list[int] = []
-        self._last_verdict: bool | None = None
-        self._last_final: frozenset[int] = frozenset()
-        self._last_assumed: list[int] = []
+        # relevant_assumptions() of the last completed solve call
+        self._relevant: list[int] | None = None
 
     # ---- prefix construction ----
 
@@ -122,15 +121,16 @@ class Solver:
     # ---- solving ----
 
     def solve(self, timeout_s: float | None = None) -> bool:
-        keep_vars = {abs(l) for l in self._assumptions}
-        selector_assumptions = self._frames.prepare_solve(self.keep_learned,
-                                                          keep_vars)
-        assumptions = selector_assumptions + list(self._assumptions)
-        verdict = self._state.solve_core(assumptions, timeout_s)
-        self._last_verdict = verdict
-        self._last_final = frozenset(self._state.final_lits or ())
-        self._last_assumed = list(self._assumptions)
-        self._assumptions = []
+        """Solve under the queued assumptions, which this call consumes even
+        when it raises SolverTimeout."""
+        assumed, self._assumptions = self._assumptions, []
+        self._relevant = None
+        selector_assumptions = self._frames.prepare_solve(
+            self.keep_learned, {abs(l) for l in assumed})
+        verdict = self._state.solve_core(selector_assumptions + assumed,
+                                         timeout_s)
+        final = set(self._state.final_lits)
+        self._relevant = [a for a in assumed if (a if verdict else -a) in final]
         return verdict
 
     @property
@@ -139,21 +139,13 @@ class Solver:
         return self._state.stats
 
     def relevant_assumptions(self) -> list[int]:
-        """Subset of the last call's assumptions sufficient for its verdict.
-
-        Available after an unsatisfiable call when the outermost block is
-        existential, or a satisfiable call when it is universal.
-        """
-        if self._last_verdict is None:
-            raise UsageError("no solve call yet")
-        blocks = self._state.prefix.blocks
-        if self._last_verdict is UNSAT:
-            if not blocks or blocks[0].quantifier != EXISTS:
-                raise UsageError("unsat relevance needs an existential outer block")
-            return [a for a in self._last_assumed if -a in self._last_final]
-        if not blocks or blocks[0].quantifier != FORALL:
-            raise UsageError("sat relevance needs a universal outer block")
-        return [a for a in self._last_assumed if a in self._last_final]
+        """Subset of the last call's assumptions sufficient for its verdict:
+        those the terminal clause (unsat) or cube (sat) depends on.
+        Reduction never drops an assumed literal, so the formula with only
+        these assumptions fixed has the same verdict."""
+        if self._relevant is None:
+            raise UsageError("no completed solve call")
+        return list(self._relevant)
 
     # ---- inspection ----
 

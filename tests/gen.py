@@ -7,7 +7,7 @@ reproduce from the seed printed in the assertion message.
 import itertools
 import random
 
-from incqbf import EXISTS, FORALL, Pcnf, Prefix
+from incqbf import EXISTS, FORALL, Pcnf, Prefix, apply_assignment, eval_pcnf
 from incqbf.solver import Solver
 
 
@@ -107,6 +107,12 @@ def kbkf(t):
         f.add_clause([x(j), fs[j - 1]])
         f.add_clause([-x(j), fs[j - 1]])
     return f
+
+
+def restricted_verdict(f, lits):
+    """Truth of f with the assumption literals lits fixed, by the oracle."""
+    g = apply_assignment(f, {abs(l): l > 0 for l in lits})
+    return g if isinstance(g, bool) else eval_pcnf(g)
 
 
 def declare_prefix(s, f):

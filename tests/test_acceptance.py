@@ -16,7 +16,8 @@ from incqbf.qcdcl import SolverState
 from incqbf.qres import reduce_lits
 from incqbf.cli import run_bench
 
-from gen import BENCH_SEEDS, build_solver, random_pcnf, random_session
+from gen import (BENCH_SEEDS, build_solver, random_pcnf, random_session,
+                 restricted_verdict)
 from test_cli import BENCH_DIR
 from test_incremental import audit_selectors
 
@@ -292,7 +293,9 @@ def test_acceptance_relevant_assumptions():
     rng = random.Random(16000)
     checks = 0
     trials = 0
-    while checks < 500 and trials < 3000:
+    # (verdict, outer quantifier) -> checks; each of the four gets 100
+    cases = {}
+    while (len(cases) < 4 or min(cases.values()) < 100) and trials < 5000:
         trials += 1
         f = random_pcnf(rng, max_vars=9, max_clauses=16, min_clauses=1)
         declared = []
@@ -307,16 +310,15 @@ def test_acceptance_relevant_assumptions():
             s.assume(l)
         verdict = s.solve()
         front = f.prefix.blocks[0].quantifier
-        if verdict and front != FORALL:
-            continue
-        if not verdict and front != EXISTS:
-            continue
+        cases[verdict, front] = cases.get((verdict, front), 0) + 1
         rel = s.relevant_assumptions()
         assert set(rel) <= set(lits)
         # rel need not be prefix-closed, so re-solve at the engine level
         again = build_solver(f)
         sels = again._frames.prepare_solve(True, tuple(abs(l) for l in rel))
         assert again._state.solve_core(list(sels) + list(rel)) == verdict, trials
+        assert restricted_verdict(f, rel) == verdict, trials
         checks += 1
-    assert checks >= 500, checks
-    print("ACCEPTANCE relevant-assumptions PASS (%d re-solve checks)" % checks)
+    assert len(cases) == 4 and min(cases.values()) >= 100, cases
+    print("ACCEPTANCE relevant-assumptions PASS (%d re-solve checks: %s)"
+          % (checks, sorted(cases.items())))

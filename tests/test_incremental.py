@@ -76,20 +76,25 @@ def test_selector_assumption_polarity():
     assert s._frames.prepare_solve(True, ()) == [-a, -c]
 
 
-def test_pop_decrements_occ_and_drops_pending():
+def test_pop_retires_unused_variables_and_drops_pending():
     s = Solver()
     b = s.new_block(EXISTS)
     s.add_variable(b, 1)
     s.add_variable(b, 2)
+    s.add_clause((2,))
     s.push()
     s.add_clause((1, 2))
     st = s._state
-    assert st.vars[1].occ == 1 and st.vars[1].ever_occurred
+    assert st.vars[1].ever_occurred
     s.pop()
-    assert st.vars[1].occ == 0
-    assert s._frames.added == []
+    # the popped clause no longer waits for the addition recheck
+    assert [c.lits for c in s._frames.added] == [(2,)]
     with pytest.raises(UsageError):
         s.pop()
+    assert s.solve() is True
+    # 1 occurred only in the popped frame; 2 still occurs in the base
+    assert 1 not in st.vars
+    assert st.prefix.as_pairs() == [(EXISTS, (2,))]
 
 
 def test_pop_removes_dead_vars_at_solve():

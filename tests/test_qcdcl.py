@@ -112,28 +112,41 @@ def test_decide_policy():
     st = state([(EXISTS, (1, 2)), (FORALL, (3,))])
     st.register_clause((1, 2, 3))
     st.vars[2].activity = 5.0
-    assert st.decide()
+    st.decide()
     assert st.trail == [-2]
     assert st.level == 1
     st.unwind()
     st.vars[2].activity = 0.0
     st.vars[2].phase = False
     st.vars[1].phase = True
-    assert st.decide()
+    st.decide()
     # activity tie breaks to the smaller id, phase is the saved one
     assert st.trail == [1]
     st.unwind()
     force_decision(st, 1)
     force_decision(st, 2)
-    assert st.decide()
-    assert st.trail[-1] == -3
+    st.decide()
+    # the outer block is done, so the universal is next
+    assert st.trail[-1] == -3 and st.level == 3
 
 
 def test_decide_exhausted():
-    st = state([(EXISTS, (1,))])
-    st.register_clause((1,))
-    force_decision(st, 1)
-    assert not st.decide()
+    """decide has no "nothing left" result: whatever the order of the
+    decisions, propagate reports a conflict or a solution before every
+    variable is assigned, or at the latest once it is."""
+    rng = random.Random(18)
+    for trial in range(300):
+        f = random_pcnf(rng, max_vars=6, max_clauses=10)
+        st = state(f.prefix.as_pairs())
+        for c in f.clauses:
+            st.register_clause(c)
+        event = st.propagate(full=True)
+        while event is None:
+            free = [v for v in f.prefix.variables() if v not in st.value]
+            assert free, trial
+            v = rng.choice(free)
+            force_decision(st, v if rng.random() < 0.5 else -v)
+            event = st.propagate()
 
 
 def test_assign_counters_and_backjump():

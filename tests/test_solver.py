@@ -6,9 +6,9 @@ import pytest
 
 from incqbf import (EXISTS, FORALL, Pcnf, Prefix, Solver, UsageError,
                     apply_assignment, eval_pcnf)
-from incqbf.qcdcl import SELECTOR_BASE, SolverState
+from incqbf.qcdcl import SELECTOR_BASE, SolverState, SolverTimeout
 
-from gen import build_solver, random_pcnf
+from gen import build_solver, kbkf, random_pcnf, restricted_verdict
 
 WORKED_CLAUSES = ((8, -5), (2, -6), (-1, 4), (-8, -4), (1, 6), (4, 5))
 
@@ -134,18 +134,21 @@ def test_relevant_assumptions_unsat():
     assert s.solve() is False
 
 
-def test_relevant_assumptions_unsat_needs_existential_front():
+def test_relevant_assumptions_unsat_under_universal_front():
     s = Solver()
     b = s.new_block(FORALL)
     s.add_variable(b, 1)
     b = s.new_block(EXISTS)
     s.add_variable(b, 2)
+    s.add_variable(b, 3)
     s.add_clause((1, 2))
     s.add_clause((1, -2))
     s.assume(-1)
+    s.assume(3)
     assert s.solve() is False
-    with pytest.raises(UsageError):
-        s.relevant_assumptions()
+    rel = s.relevant_assumptions()
+    assert set(rel) <= {-1, 3}
+    assert restricted_verdict(s.enabled_pcnf(), rel) is False
 
 
 def test_relevant_assumptions_sat():
@@ -166,15 +169,93 @@ def test_relevant_assumptions_sat():
     assert s.solve() is True
 
 
-def test_relevant_assumptions_sat_needs_universal_front():
-    s = Solver()
-    b = s.new_block(EXISTS)
-    s.add_variable(b, 1)
+def test_relevant_assumptions_sat_under_existential_front():
+    s = three_level()
     s.add_clause((1,))
+    s.add_clause((2, 3))
+    s.add_clause((2, -3))
+    s.assume(1)
+    s.assume(2)
+    assert s.solve() is True
+    rel = s.relevant_assumptions()
+    # the formula is false, so the universal assumption must stay
+    assert 2 in rel and set(rel) <= {1, 2}
+    assert restricted_verdict(s.enabled_pcnf(), rel) is True
+
+
+def solver_over(pairs, clauses):
+    s = Solver()
+    for quant, vs in pairs:
+        b = s.new_block(quant)
+        for v in vs:
+            s.add_variable(b, v)
+    for c in clauses:
+        s.add_clause(c)
+    return s
+
+
+# every clause over variables 2 and 3: unsatisfiable together
+UNSAT_23 = ((2, 3), (2, -3), (-2, 3), (-2, -3))
+
+
+def test_cube_learned_under_an_assumption_keeps_it():
+    # under -1 a model reduces to the empty cube unless -1 is kept
+    s = solver_over([(EXISTS, (1, 2, 3, 4))],
+                    [(-1,) + c for c in UNSAT_23] + [(1, 4)])
+    s.assume(-1)
+    assert s.solve() is True
+    s.assume(1)
+    assert s.solve() is False
+
+
+def test_clause_learned_under_an_assumption_keeps_it():
+    s = solver_over([(FORALL, (1,)), (EXISTS, (2, 3, 4))],
+                    [(1,) + c for c in UNSAT_23] + [(-1, 4)])
+    s.assume(-1)
+    assert s.solve() is False
     s.assume(1)
     assert s.solve() is True
+
+
+def test_reseeded_cubes_keep_assumption_literals():
+    s = solver_over([(EXISTS, (1,)), (FORALL, (2,)), (EXISTS, (3, 4))],
+                    [(1, 3), (-1, 2, 4), (-1, 2, -4)])
+    s.assume(-1)
+    assert s.solve() is True
+    # the addition reseeds the cubes from the stored model under -1
+    s.push()
+    s.add_clause((1, 3))
+    s.assume(1)
+    assert s.solve() is False
+
+
+def test_newly_assumed_universal_wipes_learned_clauses():
+    # the empty clause learned without assumptions reduced 1 away
+    s = solver_over([(FORALL, (1,))], [(1,)])
+    assert s.solve() is False
+    s.assume(1)
+    assert s.solve() is True
+
+
+def test_timeout_consumes_assumptions_and_relevance():
+    s = build_solver(kbkf(16))
+    s.assume(-1)
+    s.push()
+    s.add_clause((1,))
+    assert s.solve() is False
+    assert s.relevant_assumptions() == [-1]
+    s.pop()
+    s.assume(-1)
+    with pytest.raises(SolverTimeout):
+        s.solve(timeout_s=0.05)
+    # the timed-out call took its assumptions and left no verdict behind
     with pytest.raises(UsageError):
         s.relevant_assumptions()
+    # the opposite literal is no contradiction; under d0 = 1 the refutation
+    # is immediate
+    s.assume(1)
+    assert s.solve() is False
+    assert set(s.relevant_assumptions()) <= {1}
 
 
 def test_learned_clause_from_frame_dies_with_it():

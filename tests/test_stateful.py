@@ -1,0 +1,128 @@
+"""Stateful check of verdicts: a Hypothesis rule-based machine pushes, pops,
+adds clauses, assumes and solves on a retaining and a discarding Solver at
+once, and checks every verdict, and the sufficiency of every
+relevant_assumptions() answer, against eval_pcnf of the restricted formula.
+
+The run is derandomized and bounded, so it is the same on every run.
+"""
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, precondition, rule)
+
+from incqbf import EXISTS, FORALL, Pcnf, Prefix, Solver
+
+from gen import restricted_verdict
+
+MAX_VARS = 8
+
+
+class VerdictMachine(RuleBasedStateMachine):
+    """The shadow is the prefix as declared plus a clause list per frame.
+    Pops delete variables that no clause uses any more, and a later clause
+    would re-adopt such a variable as a fresh outermost existential; so
+    clauses and assumptions draw only on variables the solvers still
+    declare."""
+
+    @initialize(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+                first=st.sampled_from((EXISTS, FORALL)))
+    def declare(self, sizes, first):
+        self.solvers = (Solver(keep_learned=True), Solver(keep_learned=False))
+        self.blocks = []
+        quant, vid = first, 1
+        for size in sizes:
+            vs = list(range(vid, min(vid + size, MAX_VARS + 1)))
+            if not vs:
+                break
+            vid += len(vs)
+            self.blocks.append((quant, vs))
+            quant = FORALL if quant == EXISTS else EXISTS
+        for s in self.solvers:
+            for quant, vs in self.blocks:
+                b = s.new_block(quant)
+                for v in vs:
+                    s.add_variable(b, v)
+        self.frames = [[]]
+        self.pending = []
+
+    def live(self):
+        st_ = self.solvers[0]._state
+        return [v for _, vs in self.blocks for v in vs if st_.declared(v)]
+
+    def shadow(self):
+        f = Pcnf(Prefix())
+        for quant, vs in self.blocks:
+            b = f.prefix.add_block(quant)
+            for v in vs:
+                f.prefix.add_variable(b, v)
+        for frame in self.frames:
+            for c in frame:
+                f.add_clause(c)
+        return f
+
+    @rule()
+    def push(self):
+        for s in self.solvers:
+            s.push()
+        self.frames.append([])
+
+    @precondition(lambda self: len(self.frames) > 1)
+    @rule()
+    def pop(self):
+        for s in self.solvers:
+            s.pop()
+        self.frames.pop()
+
+    @rule(data=st.data())
+    def add(self, data):
+        live = self.live()
+        if not live:
+            return
+        vs = data.draw(st.lists(st.sampled_from(live), min_size=1,
+                                max_size=min(4, len(live)), unique=True))
+        c = tuple(v if data.draw(st.booleans()) else -v for v in vs)
+        for s in self.solvers:
+            s.add_clause(c)
+        self.frames[-1].append(c)
+
+    @precondition(lambda self: not self.pending)
+    @rule(data=st.data())
+    def assume(self, data):
+        """Queue a prefix-closed assumption set: whole outer blocks of the
+        solvers' current prefix, then part of the next block."""
+        lits = []
+        for blk in self.solvers[0]._state.prefix.blocks:
+            vs = list(blk.variables)
+            if not data.draw(st.booleans()):
+                vs = data.draw(st.lists(st.sampled_from(vs), unique=True))
+            lits += [v if data.draw(st.booleans()) else -v for v in vs]
+            if len(vs) < len(blk.variables):
+                break
+        for s in self.solvers:
+            for l in lits:
+                s.assume(l)
+        self.pending = lits
+
+    @rule()
+    def solve(self):
+        f = self.shadow()
+        want = restricted_verdict(f, self.pending)
+        for s in self.solvers:
+            assert s.solve() == want, (s.keep_learned, self.pending)
+            rel = s.relevant_assumptions()
+            assert set(rel) <= set(self.pending)
+            assert restricted_verdict(f, rel) == want, (s.keep_learned, rel)
+        self.pending = []
+
+    @invariant()
+    def same_prefix(self):
+        keep, discard = (s._state.prefix.as_pairs() for s in self.solvers)
+        assert keep == discard
+
+
+VerdictMachine.TestCase.settings = settings(
+    derandomize=True, database=None, max_examples=150,
+    stateful_step_count=40, deadline=None,
+    suppress_health_check=list(HealthCheck))
+test_verdict_machine = VerdictMachine.TestCase
