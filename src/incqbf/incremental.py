@@ -136,7 +136,9 @@ class FrameStack:
         """Clause additions (and new existential assumptions) invalidate
         learned cubes wholesale: wipe the cube database and reseed it from the
         stored models that satisfy every added clause, dropping the others.
-        Clauses popped before the solve are not in self.added."""
+        Clauses popped before the solve are not in self.added, and they left
+        the store at pop, so every surviving model satisfies every current
+        clause; each reseeded cube is the reduced implicant of its model."""
         st = self.state
         st.cubes = []
         st._cube_index = {}
@@ -145,7 +147,7 @@ class FrameStack:
         st.models.clear()
         st.models.extend(survivors)
         for m in survivors:
-            st.register_cube(qres.reduce_lits(st, m, qres.CUBE))
+            st.register_cube(qres.reduce_lits(st, st.implicant(m), qres.CUBE))
 
     def garbage_collect(self, selector: int) -> None:
         """Drop a popped frame: its original clauses, the learned clauses

@@ -11,7 +11,11 @@ Propagation is a fixed point of five rules: unit clauses after universal
 reduction imply their existential literal, unit cubes after existential
 reduction imply the negation of their universal literal, fully falsified
 clauses raise a conflict, fully satisfied cubes raise a solution, and a trail
-satisfying every original clause raises a model solution.
+satisfying every original clause raises a model solution.  A model solution
+seeds its initial cube from an implicant of the original clauses, one true
+literal per clause, not from the whole trail (Giunchiglia, Narizzano &
+Tacchella, JAIR 2006), so the search need not enumerate every universal
+assignment the trail happens to fix.
 
 Clauses and cubes both sit in literal-indexed occurrence lists, and both are
 counter-gated: assign and _unassign_top keep nsat (satisfied literals) on
@@ -211,17 +215,14 @@ class SolverState:
         return c
 
     def rebuild_indexes(self) -> None:
-        """Recompute occurrence lists and satisfaction counters from the live
-        constraint lists.  Only valid with an empty trail."""
+        """Recompute occurrence lists and each cube's nopen from the live
+        constraint lists.  Only valid with an empty trail, where unwind has
+        already brought nsat, nfalse and n_sat_orig back to zero; nopen
+        changes when _deletion_cleanup strips cube literals."""
         assert not self.trail
-        self.n_sat_orig = 0
-        clauses = self.clauses + self.learned_clauses
-        for c in clauses:
-            c.nsat = 0
         for c in self.cubes:
-            c.nfalse = 0
             c.nopen = sum(1 for l in c.lits if self.vars[abs(l)].quant == FORALL)
-        self.clause_occ = _occurrences(clauses)
+        self.clause_occ = _occurrences(self.clauses + self.learned_clauses)
         self.cube_occ = _occurrences(self.cubes)
         self._cube_index = {c.lits: c for c in self.cubes}
 
@@ -507,6 +508,25 @@ class SolverState:
             cur = set(res.lits)
             sel = self.merge_selectors(sel, ante.selector, cur)
 
+    def implicant(self, model) -> set[int]:
+        """A subset of model that still satisfies every original clause.
+
+        Greedy: each clause that no literal chosen so far satisfies adds one
+        of its literals true in model, existential before universal and
+        inner before outer, so that existential reduction leaves a short
+        cube.  model must satisfy every original clause; it holds no
+        selector, so a framed clause is covered by one of its user literals.
+        """
+        def rank(l):
+            v = abs(l)
+            return self.vars[v].quant == EXISTS, self.order_key(v)
+
+        chosen: set[int] = set()
+        for c in self.clauses:
+            if chosen.isdisjoint(c.lits):
+                chosen.add(max((l for l in c.lits if l in model), key=rank))
+        return chosen
+
     def analyze_conflict(self, src: Constraint):
         """Derive a learned clause from a conflicting clause (see _analyze)."""
         self._bump_constraint(src)
@@ -514,14 +534,17 @@ class SolverState:
 
     def analyze_solution(self, src: Constraint | None):
         """Derive a learned cube from a satisfied cube or, when src is None,
-        from a model of all original clauses, which is also stored in
-        models (see _analyze)."""
+        from a model of all original clauses.  The model (the trail without
+        selectors) is stored whole in models, because more full models than
+        implicants survive later clause additions; the cube is seeded from
+        its implicant, not from the trail (see _analyze)."""
         if src is None:
-            lits = [l for l in self.trail if abs(l) < SELECTOR_BASE]
-            self.models.append(frozenset(lits))
+            model = frozenset(l for l in self.trail if abs(l) < SELECTOR_BASE)
+            self.models.append(model)
+            lits = self.implicant(model)
             for l in lits:
                 self._bump_var(abs(l))
-            return self._analyze(set(lits), 0, CUBE)
+            return self._analyze(lits, 0, CUBE)
         self._bump_constraint(src)
         return self._analyze(set(src.lits), 0, CUBE)
 

@@ -69,9 +69,11 @@ def reduce_lits(prefix, lits, kind) -> tuple[int, ...]:
             k = prefix.order_key(v)
             if k > bound:
                 bound = k
-    return tuple(l for l in lits
-                 if prefix.quantifier(abs(l)) != drop_quant
-                 or prefix.order_key(abs(l)) <= bound)
+    # a list, not a generator: tuple() of a generator grows by resizing and
+    # so never reuses the free lists that freed short tuples fill
+    return tuple([l for l in lits
+                  if prefix.quantifier(abs(l)) != drop_quant
+                  or prefix.order_key(abs(l)) <= bound])
 
 
 def resolve(prefix, c1: Constraint, c2: Constraint, pivot: int) -> Constraint | None:

@@ -215,7 +215,10 @@ def test_addition_recheck_filters_models_and_reseeds_cubes():
     s.add_clause((3,))
     s._frames.prepare_solve(True, ())
     assert list(st.models) == [frozenset({1, 2, 3})]
-    assert [c.lits for c in st.cubes] == [(1, 2)]
+    # the implicant of {1, 2, 3} for (1 2 3)(3) is {3}, an empty cube once
+    # reduced: the formula is true
+    assert [c.lits for c in st.cubes] == [()]
+    assert s.solve() is True
 
 
 def test_gc_drops_popped_frames_physically():

@@ -9,7 +9,7 @@ from incqbf import CLAUSE, CUBE, EXISTS, FORALL, Solver, UsageError, eval_pcnf
 from incqbf import cli, qcdcl
 from incqbf.qcdcl import DECISION, SolverState, SolverTimeout
 
-from gen import build_solver, random_pcnf, random_session
+from gen import bench_instance, build_solver, random_pcnf, random_session
 
 
 def state(pairs):
@@ -247,7 +247,7 @@ def test_cube_counters_match_the_trail_in_random_sessions(monkeypatch):
         return event
 
     monkeypatch.setattr(SolverState, "propagate", checked_propagate)
-    for seed in range(17000, 17200):
+    for seed in range(17000, 17500):
         rng, shadow, steps = random_session(seed, keep_learned=True)
         s = shadow.solver
         for _ in range(steps):
@@ -282,8 +282,8 @@ def test_solve_core_worked_example():
     assert not st.trail and st.level == 0
     d = st.stats.as_dict()
     d.pop("wall_time")
-    assert d == {"assignments": 9, "backtracks": 1, "decisions": 2,
-                 "propagations": 7, "conflicts": 0, "solutions": 2,
+    assert d == {"assignments": 12, "backtracks": 1, "decisions": 2,
+                 "propagations": 10, "conflicts": 0, "solutions": 2,
                  "restarts": 0}
 
 
@@ -321,6 +321,13 @@ def test_restarts_fire_and_stay_correct(monkeypatch):
         s = build_solver(f)
         assert s.solve() == eval_pcnf(f)
         restarts += s.stats.restarts
+    # short initial cubes leave the small formulas above too few learning
+    # events to restart; the slicing instances sit near the SAT/UNSAT edge
+    for seed in range(4000, 4100):
+        f = bench_instance(seed)
+        s = build_solver(f)
+        assert s.solve() == eval_pcnf(f)
+        restarts += s.stats.restarts
     assert restarts > 0
 
 
@@ -331,6 +338,13 @@ def test_learned_db_reduction_fires_and_stays_correct(monkeypatch):
     rounds = 0
     for _ in range(150):
         f = random_pcnf(rng, max_vars=10, max_clauses=22, min_clauses=6)
+        s = build_solver(f)
+        assert s.solve() == eval_pcnf(f)
+        st = s._state
+        rounds += st.clause_rounds + st.cube_rounds
+    # as in the restart test, the slicing instances learn enough to reduce
+    for seed in range(4000, 4100):
+        f = bench_instance(seed)
         s = build_solver(f)
         assert s.solve() == eval_pcnf(f)
         st = s._state
@@ -441,10 +455,10 @@ BENCH_FORWARD = (
 # (assignments, backtracks, decisions, propagations, conflicts, solutions,
 # restarts) summed over the corpus, per direction and mode
 BENCH_COUNTS = {
-    ("forward", "keep"): (5417, 519, 1920, 2177, 137, 622, 0),
-    ("forward", "discard"): (6407, 663, 2498, 2589, 165, 738, 0),
-    ("reverse", "keep"): (2123, 103, 290, 753, 98, 221, 0),
-    ("reverse", "discard"): (4895, 514, 1875, 1940, 130, 600, 0),
+    ("forward", "keep"): (3307, 59, 974, 1013, 134, 165, 0),
+    ("forward", "discard"): (4155, 110, 1474, 1361, 161, 189, 0),
+    ("reverse", "keep"): (1793, 20, 168, 545, 95, 141, 0),
+    ("reverse", "discard"): (3328, 75, 1147, 1101, 130, 161, 0),
 }
 
 
@@ -456,8 +470,8 @@ def test_search_fingerprint_on_the_bench_corpus(monkeypatch):
     refactor must leave these numbers alone; a change that alters the search
     on purpose updates them and says so in CHANGES.md.
     """
-    monkeypatch.setattr(qcdcl, "LEARNED_CAP_BASE", 8)
-    monkeypatch.setattr(qcdcl, "LEARNED_CAP_STEP", 2)
+    monkeypatch.setattr(qcdcl, "LEARNED_CAP_BASE", 1)
+    monkeypatch.setattr(qcdcl, "LEARNED_CAP_STEP", 1)
     reduce_db = SolverState._reduce_db
     reductions = 0
 
@@ -480,4 +494,4 @@ def test_search_fingerprint_on_the_bench_corpus(monkeypatch):
             assert got == BENCH_COUNTS[direction, mode], (direction, mode)
             verdicts = [e[mode]["verdicts"] for e in report["instances"]]
             assert verdicts == want[direction], (direction, mode)
-    assert reductions == 47
+    assert reductions == 75

@@ -8,7 +8,7 @@ from incqbf import (EXISTS, FORALL, Pcnf, Prefix, Solver, UsageError,
                     apply_assignment, eval_pcnf)
 from incqbf.qcdcl import SELECTOR_BASE, SolverState, SolverTimeout
 
-from gen import build_solver, kbkf, random_pcnf, restricted_verdict
+from gen import build_solver, random_pcnf, restricted_verdict
 
 WORKED_CLAUSES = ((8, -5), (2, -6), (-1, 4), (-8, -4), (1, 6), (4, 5))
 
@@ -163,7 +163,9 @@ def test_relevant_assumptions_sat():
     s.assume(-2)
     assert s.solve() is True
     rel = s.relevant_assumptions()
-    assert rel == [-1, -2]
+    # the formula is true with no assumption at all, and the model's
+    # implicant {3} never uses them
+    assert rel == []
     for l in rel:
         s.assume(l)
     assert s.solve() is True
@@ -237,8 +239,30 @@ def test_newly_assumed_universal_wipes_learned_clauses():
     assert s.solve() is True
 
 
+def guarded_pigeonhole(pigeons=8, holes=7):
+    """PHP(pigeons, holes) over one existential block, every clause guarded
+    by literal 1, plus the unit clause (-1): slow to refute under -1,
+    refuted at once under 1."""
+    f = Pcnf(Prefix())
+    b = f.prefix.add_block(EXISTS)
+    for v in range(1, pigeons * holes + 2):
+        f.prefix.add_variable(b, v)
+
+    def var(i, j):
+        return 2 + i * holes + j
+
+    f.add_clause([-1])
+    for i in range(pigeons):
+        f.add_clause([1] + [var(i, j) for j in range(holes)])
+    for j in range(holes):
+        for i1 in range(pigeons):
+            for i2 in range(i1 + 1, pigeons):
+                f.add_clause([1, -var(i1, j), -var(i2, j)])
+    return f
+
+
 def test_timeout_consumes_assumptions_and_relevance():
-    s = build_solver(kbkf(16))
+    s = build_solver(guarded_pigeonhole())
     s.assume(-1)
     s.push()
     s.add_clause((1,))
@@ -251,8 +275,8 @@ def test_timeout_consumes_assumptions_and_relevance():
     # the timed-out call took its assumptions and left no verdict behind
     with pytest.raises(UsageError):
         s.relevant_assumptions()
-    # the opposite literal is no contradiction; under d0 = 1 the refutation
-    # is immediate
+    # the opposite literal is no contradiction; under 1 the unit clause (-1)
+    # refutes at once
     s.assume(1)
     assert s.solve() is False
     assert set(s.relevant_assumptions()) <= {1}
