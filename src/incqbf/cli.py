@@ -222,6 +222,8 @@ def _bench_files(path: str):
 
 
 def run_bench(path, slices, mode, direction, timeout_s=None):
+    if slices < 1:
+        raise UsageError("--slices must be at least 1, got %d" % slices)
     files = _bench_files(path)
     modes = ["keep", "discard"] if mode == "both" else [mode]
     instances = []

@@ -1,17 +1,16 @@
-"""Clause-stack layer: frames, selector bookkeeping, and solve preparation.
+"""Clause-stack layer: frames, selector tags, and solve preparation.
 
-Each push opens a frame with a fresh solver-managed selector variable; every
-clause added under it carries that selector as an extra positive literal.
-Each solve assumes the active frames' selectors false, which enables their
-clauses; like every assumed variable they precede all blocks in that solve.
-Popping disposes of the frame at once: its clauses, the learned clauses
-carrying its selector, and the selector itself leave the store.  Variable
-compaction and learned-constraint maintenance wait for prepare_solve,
-because pending assumptions pin variables only then.
+The paper guards each frame's clauses with a selector variable that every
+solve assumes false.  Popping disposes of a frame at once, so here that
+literal would always be false; a frame is kept only as an id in the
+selector tag (Constraint.selector) of each clause added under it, and the
+stored literals are the user's.  Popping drops the frame's clauses and the
+learned clauses tagged with it.  Variable compaction and learned-constraint
+maintenance wait for prepare_solve, because pending assumptions pin
+variables only then.
 
-Selector ids grow in push order and are never reused, so the id alone orders
-frames: learning keeps the larger of two selectors, and the level-0 selector
-assumptions are listed by ascending id.
+Frame ids grow in push order and are never reused, so the id alone orders
+frames: learning keeps the larger of two tags.
 """
 
 from __future__ import annotations
@@ -26,8 +25,9 @@ class FrameStack:
 
     def __init__(self, state: SolverState):
         self.state = state
-        # selectors of the active frames, in push (ascending id) order
+        # ids of the active frames, in push (ascending id) order
         self.active: list[int] = []
+        self.next_selector = 1
         # original clauses added since the last solve and still enabled
         self.added: list = []
         self.popped_since_prepare = False
@@ -35,7 +35,8 @@ class FrameStack:
     # ---- stack operations ----
 
     def push(self) -> int:
-        self.active.append(self.state.new_selector())
+        self.active.append(self.next_selector)
+        self.next_selector += 1
         return len(self.active)
 
     def pop(self) -> None:
@@ -54,31 +55,30 @@ class FrameStack:
         """
         st = self.state
         selector = self.active[-1] if self.active else 0
-        stored = tuple(lits) + ((selector,) if selector else ())
-        c = st.register_clause(stored, selector=selector, learned=False)
+        c = st.register_clause(lits, selector=selector, learned=False)
         for l in lits:
             st.vars[abs(l)].ever_occurred = True
         self.added.append(c)
 
     # ---- solve preparation ----
 
-    def prepare_solve(self, keep_learned: bool, assumed=()) -> list[int]:
+    def prepare_solve(self, keep_learned: bool, assumed=()) -> None:
         """Bring the state in sync with the edits since the last solve.
 
         assumed holds the variables of the coming solve's user assumptions;
-        with the active selectors they become state.assumed.  A constraint
-        learned while a variable was not assumed may have reduced it away,
-        so a newly assumed universal wipes the learned clauses and a newly
-        assumed existential the cubes (selectors occur in no cube).
+        they become state.assumed.  A constraint learned while a variable
+        was not assumed may have reduced it away, so a newly assumed
+        universal wipes the learned clauses and a newly assumed existential
+        the cubes.
 
         Order matters: wipe, then deletion cleanup, then the addition
         recheck, which reseeds the cubes from the stored models, then a
-        wholesale index rebuild.  Returns the active frames' negated
-        selectors by ascending (push order) id.
+        wholesale index rebuild.
         """
         st = self.state
-        new = {st.quantifier(v) for v in set(assumed) - st.assumed}
-        st.assumed = set(assumed).union(self.active)
+        assumed = set(assumed)
+        new = {st.quantifier(v) for v in assumed - st.assumed}
+        st.assumed = assumed
         if not keep_learned:
             st.learned_clauses = []
             st.cubes = []
@@ -92,7 +92,6 @@ class FrameStack:
             self._addition_recheck()
             self.added = []
         st.rebuild_indexes()
-        return [-s for s in self.active]
 
     def _deletion_cleanup(self) -> None:
         """Compact the prefix after pops and repair stored constraints.
@@ -150,20 +149,11 @@ class FrameStack:
             st.register_cube(qres.reduce_lits(st, st.implicant(m), qres.CUBE))
 
     def garbage_collect(self, selector: int) -> None:
-        """Drop a popped frame: its original clauses, the learned clauses
-        carrying its selector, and the selector variable.  Frames pop last-in
-        first-out and learning keeps the larger selector, so a learned clause
-        tagged with a later frame went when that frame popped.  Cubes stay
-        valid when clauses go."""
+        """Drop a popped frame: its original clauses and the learned clauses
+        tagged with it.  Frames pop last-in first-out and learning keeps the
+        larger tag, so a learned clause tagged with a later frame went when
+        that frame popped.  Cubes stay valid when clauses go."""
         st = self.state
         st.clauses = [c for c in st.clauses if c.selector != selector]
         st.learned_clauses = [c for c in st.learned_clauses
                               if c.selector != selector]
-        del st.vars[selector]
-
-    # ---- views ----
-
-    def enabled_clauses(self) -> list[tuple[int, ...]]:
-        """Selector-stripped literal tuples of the enabled original clauses."""
-        return [tuple(l for l in c.lits if l != c.selector)
-                for c in self.state.clauses]

@@ -4,8 +4,8 @@ The engine works on a mutable SolverState: a user-visible quantifier prefix,
 original and learned constraints, and a trail of assignments with decision
 levels and antecedents.  The state object itself acts as the ordering object
 consumed by the qres calculus: each variable assumed in the current solve
-(frame selectors and user assumptions) sits in front of every block, so
-reduction never drops an assumption literal that a constraint depends on.
+sits in front of every block, so reduction never drops an assumption literal
+that a constraint depends on.
 
 Propagation is a fixed point of five rules: unit clauses after universal
 reduction imply their existential literal, unit cubes after existential
@@ -32,6 +32,10 @@ learned cube on its satisfied universal literals.  Resolution is
 long-distance, so a learned clause may hold a universal and its negation
 (and a cube an existential); such a constraint cannot fire once that
 variable is assigned.
+
+Frames of the clause stack are not variables here: a clause's frame is only
+the id in its selector tag, and a learned clause takes the largest tag among
+the clauses it was derived from (see incremental).
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ from dataclasses import asdict, dataclass
 from . import qres
 from .formula import EXISTS, FORALL, Prefix, UsageError
 from .qres import CLAUSE, CUBE, Constraint
-
-SELECTOR_BASE = 2 ** 40
 
 RESTART_FIRST = 256
 RESTART_FACTOR = 1.5
@@ -105,7 +107,6 @@ class SolverState:
     def __init__(self):
         self.prefix = Prefix()
         self.vars: dict[int, _Var] = {}
-        self.next_selector = SELECTOR_BASE
         self.next_cid = 0
         self.clauses: list[Constraint] = []
         self.learned_clauses: list[Constraint] = []
@@ -159,8 +160,6 @@ class SolverState:
     def declare_variable(self, block_position: int, vid: int) -> None:
         if self.in_solve:
             raise UsageError("cannot edit the prefix mid-solve")
-        if vid >= SELECTOR_BASE:
-            raise UsageError("variable id %d collides with the selector range" % vid)
         if vid in self.vars:
             raise UsageError("variable %d already declared" % vid)
         self.prefix.add_variable(block_position, vid)
@@ -171,13 +170,6 @@ class SolverState:
         if not self.prefix.blocks or self.prefix.blocks[0].quantifier != EXISTS:
             self.prefix.add_block(EXISTS, 0)
         self.declare_variable(0, vid)
-
-    def new_selector(self) -> int:
-        """A fresh selector id: ids grow in push order, never reused."""
-        vid = self.next_selector
-        self.next_selector += 1
-        self.vars[vid] = _Var(EXISTS)
-        return vid
 
     # ---- constraint storage ----
 
@@ -412,21 +404,6 @@ class SolverState:
         self.var_inc /= VAR_DECAY
         self.cla_inc /= CLA_DECAY
 
-    # ---- selector merge (frame-stack optimization) ----
-
-    def merge_selectors(self, sel1: int, sel2: int, lits: set[int]) -> int:
-        """Keep only the later frame's selector in a resolvent.
-
-        Selector ids grow in push order, so the larger one belongs to the
-        later frame.  Both frames are active while the resolvent is derived,
-        so the later one is popped first, and that pop removes the clause
-        before any other contributing frame goes.
-        """
-        if sel1 and sel2 and sel1 != sel2:
-            lits.discard(min(sel1, sel2))
-            return max(sel1, sel2)
-        return sel1 or sel2
-
     # ---- conflict / solution analysis ----
 
     def _asserting(self, cur: set[int], own: list[int], kind: str):
@@ -484,9 +461,12 @@ class SolverState:
         other quantifier was still unassigned when the antecedent fired,
         which puts it right of the pivot.  The antecedent's other
         pivot-quantifier literals precede the pivot on the trail, so the
-        loop ends.  Returns
+        loop ends.  The resolvent's selector tag is the larger of the two
+        premises': frame ids grow in push order, so the later frame pops
+        first, and its pop removes the resolvent before any other
+        contributing frame goes.  Returns
         (lits, selector, backjump level, asserting literal) or, for a
-        terminal constraint (empty modulo selector/assumption literals),
+        terminal constraint (empty modulo assumption literals),
         (lits, selector, None, None)."""
         own_q = EXISTS if kind == CLAUSE else FORALL
         while True:
@@ -506,7 +486,7 @@ class SolverState:
             self._bump_constraint(ante)
             res = qres.resolve(self, ante, Constraint(kind, cur), -pivot)
             cur = set(res.lits)
-            sel = self.merge_selectors(sel, ante.selector, cur)
+            sel = max(sel, ante.selector)
 
     def implicant(self, model) -> set[int]:
         """A subset of model that still satisfies every original clause.
@@ -514,8 +494,7 @@ class SolverState:
         Greedy: each clause that no literal chosen so far satisfies adds one
         of its literals true in model, existential before universal and
         inner before outer, so that existential reduction leaves a short
-        cube.  model must satisfy every original clause; it holds no
-        selector, so a framed clause is covered by one of its user literals.
+        cube.  model must satisfy every original clause.
         """
         def rank(l):
             v = abs(l)
@@ -534,12 +513,12 @@ class SolverState:
 
     def analyze_solution(self, src: Constraint | None):
         """Derive a learned cube from a satisfied cube or, when src is None,
-        from a model of all original clauses.  The model (the trail without
-        selectors) is stored whole in models, because more full models than
-        implicants survive later clause additions; the cube is seeded from
-        its implicant, not from the trail (see _analyze)."""
+        from a model of all original clauses.  The model (the trail) is
+        stored whole in models, because more full models than implicants
+        survive later clause additions; the cube is seeded from its
+        implicant, not from the trail (see _analyze)."""
         if src is None:
-            model = frozenset(l for l in self.trail if abs(l) < SELECTOR_BASE)
+            model = frozenset(self.trail)
             self.models.append(model)
             lits = self.implicant(model)
             for l in lits:
@@ -582,8 +561,8 @@ class SolverState:
     def solve_core(self, assumptions, timeout_s: float | None = None) -> bool:
         """Run QCDCL to a verdict under level-0 assumptions.
 
-        assumptions is the full level-0 literal list (selector literals first,
-        then user assumptions), whose variables prepare_solve put in assumed.
+        assumptions is the level-0 list of user assumption literals, whose
+        variables prepare_solve put in assumed.
         Returns True for satisfiable.  The terminal constraint is stored in
         final_lits/final_kind.
         """

@@ -26,13 +26,14 @@ class Constraint:
 
     lits is a tuple sorted by variable id; a learned clause may hold a
     universal and its negation (a merged literal), a learned cube an
-    existential and its negation.  selector is the managing frame's
-    selector variable id for clauses (0 when none).  The remaining fields
-    belong to the engine's trail: nsat (clauses only) counts the currently
-    satisfied literals; nfalse and nopen (cubes only) count the currently
-    falsified literals and the still unassigned universal literals.  A
-    constraint dropped by database reduction simply leaves every list that
-    held it; there is no tombstone.
+    existential and its negation.  selector tags a clause with the id of
+    the frame whose pop removes it (0 when none); the id is no variable and
+    never occurs in lits.  The remaining fields belong to the engine's
+    trail: nsat (clauses only) counts the currently satisfied literals;
+    nfalse and nopen (cubes only) count the currently falsified literals
+    and the still unassigned universal literals.  A constraint dropped by
+    database reduction simply leaves every list that held it; there is no
+    tombstone.
     """
 
     __slots__ = ("kind", "lits", "cid", "learned", "activity", "selector",

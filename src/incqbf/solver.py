@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .formula import EXISTS, Pcnf, UsageError, normalize_clause
 from .incremental import FrameStack
-from .qcdcl import SELECTOR_BASE, SolverState, Stats
+from .qcdcl import SolverState, Stats
 
 SAT = True
 UNSAT = False
@@ -102,7 +102,7 @@ class Solver:
             raise UsageError("assumption must be a nonzero literal")
         v = abs(lit)
         st = self._state
-        if v >= SELECTOR_BASE or not st.declared(v):
+        if not st.declared(v):
             raise UsageError("assumption on undeclared variable %d" % v)
         if -lit in self._assumptions:
             raise UsageError("contradictory assumption on variable %d" % v)
@@ -125,10 +125,8 @@ class Solver:
         when it raises SolverTimeout."""
         assumed, self._assumptions = self._assumptions, []
         self._relevant = None
-        selector_assumptions = self._frames.prepare_solve(
-            self.keep_learned, {abs(l) for l in assumed})
-        verdict = self._state.solve_core(selector_assumptions + assumed,
-                                         timeout_s)
+        self._frames.prepare_solve(self.keep_learned, {abs(l) for l in assumed})
+        verdict = self._state.solve_core(assumed, timeout_s)
         final = set(self._state.final_lits)
         self._relevant = [a for a in assumed if (a if verdict else -a) in final]
         return verdict
@@ -150,10 +148,10 @@ class Solver:
     # ---- inspection ----
 
     def enabled_pcnf(self) -> Pcnf:
-        """Copy of the currently enabled formula (selector literals stripped)."""
+        """Copy of the currently enabled formula."""
         f = Pcnf(self._state.prefix.copy())
-        for lits in self._frames.enabled_clauses():
-            f.add_clause(lits)
+        for c in self._state.clauses:
+            f.add_clause(c.lits)
         return f
 
     def frame_depth(self) -> int:

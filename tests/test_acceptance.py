@@ -91,7 +91,7 @@ def test_acceptance_retention_scenarios():
     s.add_clause(WORKED_CLAUSES[3])
     sel = s._frames.active[0]
     assert s.solve() is True
-    s._state.register_clause((-1, sel), selector=sel, learned=True)
+    s._state.register_clause((-1,), selector=sel, learned=True)
     s.pop()
     s.add_clause((1,))
     assert s.solve() is True
@@ -315,8 +315,8 @@ def test_acceptance_relevant_assumptions():
         assert set(rel) <= set(lits)
         # rel need not be prefix-closed, so re-solve at the engine level
         again = build_solver(f)
-        sels = again._frames.prepare_solve(True, tuple(abs(l) for l in rel))
-        assert again._state.solve_core(list(sels) + list(rel)) == verdict, trials
+        again._frames.prepare_solve(True, tuple(abs(l) for l in rel))
+        assert again._state.solve_core(list(rel)) == verdict, trials
         assert restricted_verdict(f, rel) == verdict, trials
         checks += 1
     assert len(cases) == 4 and min(cases.values()) >= 100, cases

@@ -217,6 +217,14 @@ def test_cmd_bench_single_mode(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cmd_bench_rejects_fewer_than_one_slice(capsys):
+    for n in ("0", "-2"):
+        assert main(["bench", str(BENCH_DIR), "--slices", n]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--slices must be at least 1" in err
+
+
 def test_bench_directory_discovery():
     report = run_bench(BENCH_DIR, 3, "keep", "forward")
     assert len(report["instances"]) >= 20

@@ -1,44 +1,32 @@
-"""Frame stack: selectors, disposal at pop, cleanup, learned retention."""
+"""Frame stack: selector tags, disposal at pop, cleanup, learned retention."""
 
 import random
 
 import pytest
 
 from incqbf import (CUBE, EXISTS, FORALL, Solver, UsageError, eval_pcnf)
-from incqbf.qcdcl import SELECTOR_BASE, SolverState
 
 from gen import build_solver, random_session
 
 
-def selector_lits(c):
-    return [l for l in c.lits if abs(l) >= SELECTOR_BASE]
-
-
 def audit_selectors(s, all_framed):
+    """Every clause's tag is 0 or an active frame, and frames are no
+    variables: every stored literal and every entry of st.vars belongs to
+    the prefix."""
     st = s._state
     active = set(s._frames.active)
-    # a popped frame's selector leaves the store with it
-    assert {v for v in st.vars if v >= SELECTOR_BASE} == active
+    declared = set(st.prefix.variables())
+    assert set(st.vars) == declared
     originals = 0
     for c in st.clauses:
-        sels = selector_lits(c)
-        assert len(sels) <= 1
         if all_framed:
-            assert len(sels) == 1
+            assert c.selector in active
         assert c.selector == 0 or c.selector in active
-        if c.selector:
-            assert sels == [c.selector]
+        assert {abs(l) for l in c.lits} <= declared
         originals += 1
-    for c in st.learned_clauses:
-        sels = selector_lits(c)
-        assert len(sels) <= 1
+    for c in st.learned_clauses + st.cubes:
         assert c.selector == 0 or c.selector in active
-        if c.selector:
-            assert sels == [c.selector]
-        else:
-            assert sels == []
-    for c in st.cubes:
-        assert selector_lits(c) == []
+        assert {abs(l) for l in c.lits} <= declared
     return originals
 
 
@@ -54,26 +42,38 @@ def test_framed_clause_carries_one_selector():
     assert s.frame_depth() == 2
     assert s.solve() is True
     assert audit_selectors(s, all_framed=True) == 2
+    # the frame is a tag, the stored literals are the user's
+    f1, f2 = s._frames.active
+    st = s._state
+    assert [(c.lits, c.selector) for c in st.clauses] == [((1, 2), f1),
+                                                          ((-1,), f2)]
 
 
 def test_selector_assumption_polarity():
+    # frames are never assumed: only user assumptions reach state.assumed
     s = Solver()
     b = s.new_block(EXISTS)
     s.add_variable(b, 1)
+    s.add_variable(b, 2)
     s.push()
     s.add_clause((1,))
-    sel = s._frames.active[0]
-    assert s._frames.prepare_solve(True, ()) == [-sel]
-    s.pop()
-    assert s._frames.prepare_solve(True, ()) == []
-    # only active frames are assumed, in push order
-    s.push()
-    s.push()
+    st = s._state
+    s._frames.prepare_solve(True, ())
+    assert st.assumed == set()
+    s._frames.prepare_solve(True, {2})
+    assert st.assumed == {2}
     s.pop()
     s.push()
-    a, c = s._frames.active
-    assert a < c
-    assert s._frames.prepare_solve(True, ()) == [-a, -c]
+    s.push()
+    s.pop()
+    s.push()
+    # frame ids grow in push order; the popped ids 1 and 3 are not reused
+    assert s._frames.active == [2, 4]
+    s.assume(-2)
+    assert s.solve() is True
+    assert st.assumed == {2}
+    # the user assumption is the only assignment; two frames add none
+    assert s.stats.assignments == 1
 
 
 def test_pop_retires_unused_variables_and_drops_pending():
@@ -142,21 +142,6 @@ def test_readoption_makes_fresh_outermost_existential():
     assert s.solve() is True
 
 
-def test_merge_selectors_keeps_later_frame():
-    st = SolverState()
-    s1 = st.new_selector()
-    s2 = st.new_selector()
-    lits = {s1, s2, 5}
-    assert st.merge_selectors(s1, s2, lits) == s2
-    assert lits == {s2, 5}
-    lits = {s1, s2, 5}
-    assert st.merge_selectors(s2, s1, lits) == s2
-    assert lits == {s2, 5}
-    assert st.merge_selectors(0, s1, {s1}) == s1
-    assert st.merge_selectors(s1, 0, {s1}) == s1
-    assert st.merge_selectors(s1, s1, {s1}) == s1
-
-
 def test_deletion_cleanup_repairs_stored_constraints():
     s = Solver()
     b = s.new_block(EXISTS)
@@ -183,7 +168,7 @@ def test_deletion_cleanup_repairs_stored_constraints():
     c2.activity = 9.0
     keep_taut = st.register_clause((1,), selector=0, learned=True)
     drop_var = st.register_clause((3,), selector=0, learned=True)
-    drop_sel = st.register_clause((4, sel), selector=sel, learned=True)
+    drop_sel = st.register_clause((4,), selector=sel, learned=True)
     s.pop()
     s._frames.prepare_solve(True, ())
     assert 3 not in st.vars
@@ -233,13 +218,13 @@ def test_gc_drops_popped_frames_physically():
     assert s.solve() is True
     st = s._state
     sel = s._frames.active[1]
-    st.register_clause((-1, sel), selector=sel, learned=True)
+    st.register_clause((-1,), selector=sel, learned=True)
     s.pop()
     # disposal happens at pop itself, before any solve
-    assert [c.lits for c in st.clauses] == [(1, 2, s._frames.active[0])]
+    assert [(c.lits, c.selector) for c in st.clauses] == [
+        ((1, 2), s._frames.active[0])]
     assert all(c.selector != sel for c in st.clauses + st.learned_clauses)
-    assert sel not in st.vars
-    assert [v for v in st.vars if v >= SELECTOR_BASE] == s._frames.active
+    assert set(st.vars) == {1, 2}
 
 
 def test_gc_keeps_selector_merging_sound():

@@ -6,7 +6,9 @@ import pytest
 
 from incqbf import (EXISTS, FORALL, Pcnf, Prefix, Solver, UsageError,
                     apply_assignment, eval_pcnf)
-from incqbf.qcdcl import SELECTOR_BASE, SolverState, SolverTimeout
+from incqbf.cli import from_pcnf
+from incqbf.qcdcl import SolverState, SolverTimeout
+from incqbf.qdimacs import parse
 
 from gen import build_solver, random_pcnf, restricted_verdict
 
@@ -71,14 +73,6 @@ def test_assume_validation():
     s.assume(-2)
     s.assume(3)
     assert s._assumptions == [1, -2, 3]
-
-
-def test_assume_rejects_managed_selectors():
-    s = three_level()
-    s.push()
-    s.add_clause((1, 2, 3))
-    with pytest.raises(UsageError):
-        s.assume(SELECTOR_BASE)
 
 
 def test_assumptions_are_single_shot():
@@ -293,7 +287,7 @@ def test_learned_clause_from_frame_dies_with_it():
     assert s.solve() is True
     st = s._state
     # a unit consequence of the framed clause, properly tagged
-    st.register_clause((-1, sel), selector=sel, learned=True)
+    st.register_clause((-1,), selector=sel, learned=True)
     s.pop()
     # the pop itself disposes of every clause tagged with the frame
     assert all(c.selector != sel for c in st.learned_clauses)
@@ -386,3 +380,32 @@ def test_stats_and_sizes():
     assert s.stats.assignments > 0
     lc, cubes, models = s.learned_sizes()
     assert cubes > 0 and models > 0
+
+
+def test_variable_ids_from_two_to_the_forty():
+    # frames are tags, not variables, so no id range is reserved for them
+    x, y, z = 2 ** 40, 2 ** 40 + 1, 2 ** 41
+    s = Solver()
+    for q, v in ((EXISTS, x), (FORALL, y), (EXISTS, z)):
+        s.add_variable(s.new_block(q), v)
+    s.add_clause((x, y, z))
+    s.add_clause((x, -y, -z))
+    assert s.solve() is eval_pcnf(s.enabled_pcnf()) is True
+    s.push()
+    s.add_clause((-x,))
+    assert s.solve() is eval_pcnf(s.enabled_pcnf()) is True
+    s.push()
+    s.add_clause((y, -z))
+    assert s.solve() is eval_pcnf(s.enabled_pcnf()) is False
+    s.pop()
+    s.assume(-x)
+    assert s.solve() is True
+    s.pop()
+    s.assume(-x)
+    s.assume(y)
+    assert s.solve() is True
+    assert s.solve() is eval_pcnf(s.enabled_pcnf()) is True
+    text = ("p cnf %d 3\ne %d 0\na %d 0\ne %d 0\n%d %d 0\n%d %d 0\n%d %d 0\n"
+            % (z, x, y, z, x, z, -x, y, -z, y))
+    f = parse(text)
+    assert from_pcnf(f).solve() is eval_pcnf(f) is False

@@ -2,6 +2,8 @@
 adds clauses, assumes and solves on a retaining and a discarding Solver at
 once, and checks every verdict, and the sufficiency of every
 relevant_assumptions() answer, against eval_pcnf of the restricted formula.
+After every step it also checks that the solvers' stores hold nothing that
+outlived its frame.
 
 The run is derandomized and bounded, so it is the same on every run.
 """
@@ -119,6 +121,19 @@ class VerdictMachine(RuleBasedStateMachine):
     def same_prefix(self):
         keep, discard = (s._state.prefix.as_pairs() for s in self.solvers)
         assert keep == discard
+
+    @invariant()
+    def store_matches_shadow(self):
+        """Nothing outlives its frame: the state knows only the prefix
+        variables, holds one original clause per shadow clause, and tags
+        every clause with 0 or an active frame."""
+        for s in self.solvers:
+            st_ = s._state
+            assert set(st_.vars) == set(st_.prefix.variables())
+            assert len(st_.clauses) == sum(map(len, self.frames))
+            active = {0, *s._frames.active}
+            for c in st_.clauses + st_.learned_clauses:
+                assert c.selector in active
 
 
 VerdictMachine.TestCase.settings = settings(
