@@ -6,7 +6,7 @@ across formula edits, and single-shot assumptions.
 """
 
 from .formula import (EXISTS, FORALL, Block, Pcnf, Prefix, UsageError,
-                      apply_assignment, compact, normalize_clause)
+                      normalize_clause)
 from .oracle import check_redundant, eval_pcnf, is_model
 from .qcdcl import Stats
 from .qdimacs import ParseError
@@ -19,7 +19,7 @@ __all__ = [
     "EXISTS", "FORALL", "SAT", "UNSAT", "CLAUSE", "CUBE",
     "Block", "Prefix", "Pcnf", "Constraint", "Solver", "Stats",
     "UsageError", "ParseError",
-    "normalize_clause", "apply_assignment", "compact",
+    "normalize_clause",
     "reduce_lits", "resolve",
     "eval_pcnf", "is_model", "check_redundant",
     "__version__",

@@ -37,12 +37,7 @@ def _print_stats(s: Solver) -> None:
 
 
 def cmd_solve(args) -> int:
-    try:
-        f = qdimacs.parse_file(args.file)
-    except (OSError, qdimacs.ParseError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    s = from_pcnf(f)
+    s = from_pcnf(qdimacs.parse_file(args.file))
     try:
         verdict = s.solve(timeout_s=args.timeout_s)
     except SolverTimeout:
@@ -80,7 +75,7 @@ def run_script(text: str, out=None, keep_learned: bool = True,
         push        open a frame
         pop         discard the topmost frame
         add L... 0  add a clause
-        assume L    queue a single-shot assumption
+        assume L... queue single-shot assumptions (at least one)
         solve       run the solver, print the verdict
         expect sat|unsat   check the most recent verdict
     """
@@ -122,9 +117,13 @@ def run_script(text: str, out=None, keep_learned: bool = True,
                     raise ScriptError(lineno, "literal 0 inside a clause")
                 s.add_clause(lits)
             elif op == "assume":
+                if len(tokens) == 1:
+                    raise ScriptError(lineno, "assume needs a literal")
                 for lit in _script_ints(tokens[1:], lineno):
                     s.assume(lit)
             elif op == "solve":
+                if len(tokens) != 1:
+                    raise ScriptError(lineno, "solve takes no arguments")
                 verdict = s.solve(timeout_s=timeout_s)
                 print("s cnf %s" % ("SAT" if verdict else "UNSAT"), file=emit)
             elif op == "expect":
@@ -146,17 +145,9 @@ def run_script(text: str, out=None, keep_learned: bool = True,
 
 
 def cmd_script(args) -> int:
-    try:
-        text = Path(args.file).read_text(encoding="ascii")
-    except OSError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    try:
-        return run_script(text, keep_learned=not args.discard_learned,
-                          timeout_s=args.timeout_s)
-    except (ScriptError, SolverTimeout) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
+    return run_script(Path(args.file).read_text(encoding="ascii"),
+                      keep_learned=not args.discard_learned,
+                      timeout_s=args.timeout_s)
 
 
 def slice_clauses(clauses, slices: int):
@@ -252,12 +243,8 @@ def _fmt_row(cols, widths):
 
 
 def cmd_bench(args) -> int:
-    try:
-        report = run_bench(args.file, args.slices, args.mode, args.direction,
-                           timeout_s=args.timeout_s)
-    except (OSError, UsageError, qdimacs.ParseError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
+    report = run_bench(args.file, args.slices, args.mode, args.direction,
+                       timeout_s=args.timeout_s)
     widths = (28, 8, 12, 12, 12, 10)
     print(_fmt_row(("instance", "mode", "verdicts", "assignments",
                     "backtracks", "time_s"), widths))
@@ -323,7 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, UnicodeError, UsageError, qdimacs.ParseError,
+            ScriptError, SolverTimeout) as e:
+        # unreadable or malformed input, and a script that timed out
+        print("error: %s" % e, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

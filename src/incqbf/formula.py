@@ -101,6 +101,14 @@ class Prefix:
             for v in blk.variables:
                 self._pos[v] = i
 
+    def free_block(self) -> int:
+        """Position of the block that adopts free variables: the leftmost
+        block if it is existential, else a new existential block opened at
+        position 0."""
+        if not self.blocks or self.blocks[0].quantifier != EXISTS:
+            self.add_block(EXISTS, 0)
+        return 0
+
     def declared(self, vid: int) -> bool:
         return vid in self._pos
 
@@ -154,15 +162,9 @@ class Pcnf:
             if not self.prefix.declared(v):
                 if not adopt_free:
                     raise UsageError("variable %d not declared in the prefix" % v)
-                self._adopt(v)
+                self.prefix.add_variable(self.prefix.free_block(), v)
         self.clauses.append(c)
         return c
-
-    def _adopt(self, vid: int) -> None:
-        # Free variables go to a leftmost existential block.
-        if not self.prefix.blocks or self.prefix.blocks[0].quantifier != EXISTS:
-            self.prefix.add_block(EXISTS, 0)
-        self.prefix.add_variable(0, vid)
 
     def copy(self) -> "Pcnf":
         f = Pcnf(self.prefix.copy())
@@ -195,53 +197,3 @@ def _compact_prefix(prefix: Prefix, keep: set[int]) -> tuple[Prefix, set[int]]:
         for v in vs:
             new.add_variable(i, v)
     return new, removed
-
-
-def compact(f: Pcnf) -> tuple[Pcnf, set[int]]:
-    """Drop zero-occurrence variables, empty blocks, and merge adjacent
-    same-quantifier blocks.  Returns the compacted formula and the removed
-    variable ids (V_del)."""
-    occurring = {abs(l) for c in f.clauses for l in c}
-    new_prefix, removed = _compact_prefix(f.prefix, occurring)
-    out = Pcnf(new_prefix)
-    out.clauses = list(f.clauses)
-    return out, removed
-
-
-def apply_assignment(f: Pcnf, assignment):
-    """Substitute an assignment into a formula and simplify.
-
-    assignment is an iterable of literals (or a var -> bool map).  Satisfied
-    clauses are removed, falsified literals are dropped, and the residual
-    prefix loses assigned and no-longer-occurring variables.
-
-    Returns True if every clause is satisfied, False if some clause is
-    falsified outright, and the residual Pcnf otherwise.
-    """
-    a = assignment if isinstance(assignment, dict) else as_assignment(assignment)
-    for v in a:
-        if not f.prefix.declared(v):
-            raise UsageError("assigned variable %d not in the prefix" % v)
-    new_clauses = []
-    for c in f.clauses:
-        keep_lits = []
-        satisfied = False
-        for l in c:
-            val = a.get(abs(l))
-            if val is None:
-                keep_lits.append(l)
-            elif (l > 0) == val:
-                satisfied = True
-                break
-        if satisfied:
-            continue
-        if not keep_lits:
-            return False
-        new_clauses.append(tuple(keep_lits))
-    if not new_clauses:
-        return True
-    occurring = {abs(l) for c in new_clauses for l in c}
-    new_prefix, _ = _compact_prefix(f.prefix, occurring)
-    out = Pcnf(new_prefix)
-    out.clauses = new_clauses
-    return out

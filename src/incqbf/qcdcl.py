@@ -165,12 +165,6 @@ class SolverState:
         self.prefix.add_variable(block_position, vid)
         self.vars[vid] = _Var(self.prefix.blocks[block_position].quantifier)
 
-    def adopt_variable(self, vid: int) -> None:
-        """Declare a free variable in a leftmost existential user block."""
-        if not self.prefix.blocks or self.prefix.blocks[0].quantifier != EXISTS:
-            self.prefix.add_block(EXISTS, 0)
-        self.declare_variable(0, vid)
-
     # ---- constraint storage ----
 
     def register_clause(self, lits, selector=0, learned=False) -> Constraint:

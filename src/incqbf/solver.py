@@ -16,11 +16,15 @@ Typical use:
 solve() returns the module constants SAT (True) or UNSAT (False).  Learned
 constraints are retained across calls unless keep_learned is switched off,
 in which case every call starts from a bare constraint database.
+
+Frames are the one guarding mechanism.  A clause that should be switched on
+and off per call without a pop can instead carry a guard literal g from an
+outermost existential block: assume -g to enforce it, g to relax it.
 """
 
 from __future__ import annotations
 
-from .formula import EXISTS, Pcnf, UsageError, normalize_clause
+from .formula import Pcnf, UsageError, normalize_clause
 from .incremental import FrameStack
 from .qcdcl import SolverState, Stats
 
@@ -35,8 +39,6 @@ class Solver:
         self._state = SolverState()
         self._frames = FrameStack(self._state)
         self.keep_learned = keep_learned
-        self._manual_selectors: set[int] = set()
-        self._used_push = False
         self._assumptions: list[int] = []
         # relevant_assumptions() of the last completed solve call
         self._relevant: list[int] | None = None
@@ -55,14 +57,9 @@ class Solver:
     # ---- clause stack ----
 
     def push(self) -> int:
-        if self._manual_selectors:
-            raise UsageError("push/pop unavailable with user-managed selectors")
-        self._used_push = True
         return self._frames.push()
 
     def pop(self) -> None:
-        if self._manual_selectors:
-            raise UsageError("push/pop unavailable with user-managed selectors")
         self._frames.pop()
 
     def add_clause(self, lits) -> None:
@@ -72,23 +69,11 @@ class Solver:
         norm = normalize_clause(lits)
         if norm is None:
             return
-        for l in norm:
-            if not self._state.declared(abs(l)):
-                self._state.adopt_variable(abs(l))
-        self._frames.add_clause(norm)
-
-    def declare_selector(self, vid: int) -> None:
-        """Latch manual selector mode: vid is a user variable the caller will
-        assume each solve to enable or disable its clauses.  Mutually
-        exclusive with push/pop.  Requires an outermost existential variable."""
-        if self._used_push:
-            raise UsageError("user-managed selectors unavailable after push")
         st = self._state
-        if not st.declared(vid):
-            raise UsageError("selector variable %d not declared" % vid)
-        if st.quantifier(vid) != EXISTS or st.prefix.order_key(vid) != 0:
-            raise UsageError("selector %d must sit in an outermost existential block" % vid)
-        self._manual_selectors.add(vid)
+        for l in norm:
+            if not st.declared(abs(l)):
+                st.declare_variable(st.prefix.free_block(), abs(l))
+        self._frames.add_clause(norm)
 
     # ---- assumptions ----
 

@@ -7,7 +7,8 @@ reproduce from the seed printed in the assertion message.
 import itertools
 import random
 
-from incqbf import EXISTS, FORALL, Pcnf, Prefix, apply_assignment, eval_pcnf
+from incqbf import EXISTS, FORALL, Pcnf, Prefix, UsageError, eval_pcnf
+from incqbf.formula import _compact_prefix, as_assignment
 from incqbf.solver import Solver
 
 
@@ -107,6 +108,45 @@ def kbkf(t):
         f.add_clause([x(j), fs[j - 1]])
         f.add_clause([-x(j), fs[j - 1]])
     return f
+
+
+def apply_assignment(f, assignment):
+    """Substitute an assignment into a formula and simplify.
+
+    assignment is an iterable of literals (or a var -> bool map).  Satisfied
+    clauses are removed, falsified literals are dropped, and the residual
+    prefix loses assigned and no-longer-occurring variables.
+
+    Returns True if every clause is satisfied, False if some clause is
+    falsified outright, and the residual Pcnf otherwise.
+    """
+    a = assignment if isinstance(assignment, dict) else as_assignment(assignment)
+    for v in a:
+        if not f.prefix.declared(v):
+            raise UsageError("assigned variable %d not in the prefix" % v)
+    new_clauses = []
+    for c in f.clauses:
+        keep_lits = []
+        satisfied = False
+        for l in c:
+            val = a.get(abs(l))
+            if val is None:
+                keep_lits.append(l)
+            elif (l > 0) == val:
+                satisfied = True
+                break
+        if satisfied:
+            continue
+        if not keep_lits:
+            return False
+        new_clauses.append(tuple(keep_lits))
+    if not new_clauses:
+        return True
+    occurring = {abs(l) for c in new_clauses for l in c}
+    new_prefix, _ = _compact_prefix(f.prefix, occurring)
+    out = Pcnf(new_prefix)
+    out.clauses = new_clauses
+    return out
 
 
 def restricted_verdict(f, lits):

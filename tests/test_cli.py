@@ -78,6 +78,8 @@ def test_run_script_errors():
         ("e -1 0\n", 1, "positive"),
         ("e 1\npush now\n", 2, "push takes no arguments"),
         ("e 1\npop\n", 2, "pop on an empty frame stack"),
+        ("e 1\nsolve extra\n", 2, "solve takes no arguments"),
+        ("e 1\nassume\n", 2, "assume needs a literal"),
         ("e 1 2\nadd 1 0 2 0\n", 2, "literal 0 inside"),
         ("e 1\nadd x 0\n", 2, "bad integer"),
         ("frobnicate\n", 1, "unknown command"),
@@ -124,6 +126,17 @@ def test_cmd_solve_error_paths(tmp_path, capsys):
     assert "error: line 1" in capsys.readouterr().err
 
 
+# one UTF-8 comment byte sequence in otherwise valid input
+NON_ASCII = "c caf\u00e9\n".encode("utf-8")
+
+
+def test_cmd_solve_non_ascii_input(tmp_path, capsys):
+    path = tmp_path / "cafe.qdimacs"
+    path.write_bytes(NON_ASCII + b"p cnf 1 1\ne 1 0\n1 0\n")
+    assert main(["solve", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cmd_solve_timeout(tmp_path, capsys, monkeypatch):
     path = tmp_path / "sat.qdimacs"
     path.write_text(SAT_TEXT)
@@ -153,6 +166,13 @@ def test_cmd_script_exit_codes(tmp_path, capsys):
     assert "error: line 2" in capsys.readouterr().err
     assert main(["script", str(tmp_path / "nope.qs")]) == 1
     capsys.readouterr()
+
+
+def test_cmd_script_non_ascii_input(tmp_path, capsys):
+    path = tmp_path / "cafe.qs"
+    path.write_bytes(NON_ASCII + b"e 1\nadd 1\nsolve\n")
+    assert main(["script", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_slice_clauses_shapes():
@@ -214,6 +234,21 @@ def test_cmd_bench_single_mode(tmp_path, capsys):
     got = capsys.readouterr().out
     assert "keep vs discard" not in got
     assert main(["bench", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cmd_bench_non_ascii_input(tmp_path, capsys):
+    (tmp_path / "cafe.qdimacs").write_bytes(NON_ASCII + SAT_TEXT.encode())
+    assert main(["bench", str(tmp_path), "--slices", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
+
+
+def test_cmd_bench_unwritable_stats_json(tmp_path, capsys):
+    rc = main(["bench", str(BENCH_DIR / "slice201.qdimacs"), "--slices", "2",
+               "--stats-json", str(tmp_path / "missing" / "report.json")])
+    assert rc == 1
     assert "error:" in capsys.readouterr().err
 
 

@@ -1,14 +1,15 @@
-"""Prefix, clause normalization, and assignment application."""
+"""Prefix, clause normalization, prefix compaction, and assignment
+application (tests/gen.py)."""
 
 import random
 
 import pytest
 
-from incqbf import (EXISTS, FORALL, Pcnf, Prefix, UsageError, apply_assignment,
-                    compact, eval_pcnf, normalize_clause)
-from incqbf.formula import as_assignment
+from incqbf import (EXISTS, FORALL, Pcnf, Prefix, UsageError, eval_pcnf,
+                    normalize_clause)
+from incqbf.formula import _compact_prefix, as_assignment
 
-from gen import random_pcnf
+from gen import apply_assignment, random_pcnf
 
 
 def worked_formula():
@@ -128,22 +129,13 @@ def test_pcnf_adopt_inserts_existential_block():
 
 
 def test_compact_drops_unused_and_merges():
-    f = Pcnf(Prefix())
-    b1 = f.prefix.add_block(EXISTS)
-    f.prefix.add_variable(b1, 1)
-    f.prefix.add_variable(b1, 2)
-    b2 = f.prefix.add_block(FORALL)
-    f.prefix.add_variable(b2, 3)
-    b3 = f.prefix.add_block(EXISTS)
-    f.prefix.add_variable(b3, 4)
-    f.add_clause((1, 4))
-    g, removed = compact(f)
+    p = Prefix([(EXISTS, (1, 2)), (FORALL, (3,)), (EXISTS, (4,))])
+    new, removed = _compact_prefix(p, {1, 4})
     assert removed == {2, 3}
     # the universal block emptied out, adjacent existential blocks merge
-    assert g.prefix.as_pairs() == [(EXISTS, (1, 4))]
-    assert g.clauses == [(1, 4)]
+    assert new.as_pairs() == [(EXISTS, (1, 4))]
     # original untouched
-    assert f.prefix.num_variables() == 4
+    assert p.num_variables() == 4
 
 
 def test_apply_assignment_worked_example():

@@ -1,11 +1,11 @@
-"""Solver facade: assumptions, relevance, manual selectors, retention."""
+"""Solver facade: assumptions, relevance, guard literals, retention."""
 
 import random
 
 import pytest
 
 from incqbf import (EXISTS, FORALL, Pcnf, Prefix, Solver, UsageError,
-                    apply_assignment, eval_pcnf)
+                    eval_pcnf)
 from incqbf.cli import from_pcnf
 from incqbf.qcdcl import SolverState, SolverTimeout
 from incqbf.qdimacs import parse
@@ -101,10 +101,7 @@ def test_assumption_semantics_match_restriction():
         s = build_solver(f)
         for l in lits:
             s.assume(l)
-        got = s.solve()
-        g = apply_assignment(f, {abs(l): l > 0 for l in lits})
-        want = g if isinstance(g, bool) else eval_pcnf(g)
-        assert got == want, trial
+        assert s.solve() == restricted_verdict(f, lits), trial
 
 
 def test_relevant_assumptions_requires_a_solve():
@@ -313,7 +310,9 @@ def test_unguarded_retention_would_be_unsound():
     assert st.solve_core([]) is False
 
 
-def test_manual_selector_mode():
+def test_guard_literals_switched_by_assumptions():
+    # 10 and 11 guard one clause each; assuming a guard false enforces its
+    # clause, assuming it true relaxes it.  Frames work in the same session.
     s = Solver()
     b = s.new_block(EXISTS)
     s.add_variable(b, 10)
@@ -322,12 +321,6 @@ def test_manual_selector_mode():
     s.add_variable(b, 1)
     b = s.new_block(EXISTS)
     s.add_variable(b, 2)
-    s.declare_selector(10)
-    s.declare_selector(11)
-    with pytest.raises(UsageError):
-        s.push()
-    with pytest.raises(UsageError):
-        s.pop()
     s.add_clause((10, 2))
     s.add_clause((11, -2))
     s.assume(-10)
@@ -340,20 +333,16 @@ def test_manual_selector_mode():
     s.assume(-10)
     s.assume(11)
     assert s.solve() is True
-
-
-def test_declare_selector_validation():
-    s = three_level()
-    with pytest.raises(UsageError):
-        s.declare_selector(9)
-    with pytest.raises(UsageError):
-        s.declare_selector(3)
-    with pytest.raises(UsageError):
-        s.declare_selector(2)
-    s2 = three_level()
-    s2.push()
-    with pytest.raises(UsageError):
-        s2.declare_selector(1)
+    s.push()
+    s.add_clause((-2,))
+    s.assume(-10)
+    s.assume(11)
+    assert s.solve() is False
+    assert s.relevant_assumptions() == [-10]
+    s.pop()
+    s.assume(-10)
+    s.assume(11)
+    assert s.solve() is True
 
 
 def test_enabled_pcnf_view():

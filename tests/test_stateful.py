@@ -117,6 +117,16 @@ class VerdictMachine(RuleBasedStateMachine):
             assert restricted_verdict(f, rel) == want, (s.keep_learned, rel)
         self.pending = []
 
+    @rule(data=st.data())
+    def push_and_solve(self, data):
+        """Open a frame, add several clauses to it and solve, so that the
+        store is likely to hold learned clauses tagged with the frame when
+        it pops."""
+        self.push()
+        for _ in range(data.draw(st.integers(2, 6))):
+            self.add(data)
+        self.solve()
+
     @invariant()
     def same_prefix(self):
         keep, discard = (s._state.prefix.as_pairs() for s in self.solvers)
