@@ -7,20 +7,20 @@ across formula edits, and single-shot assumptions.
 
 from .formula import (EXISTS, FORALL, Block, Pcnf, Prefix, UsageError,
                       normalize_clause)
-from .oracle import check_redundant, eval_pcnf, is_model
+from .oracle import eval_pcnf
 from .qcdcl import Stats
 from .qdimacs import ParseError
-from .qres import CLAUSE, CUBE, Constraint, reduce_lits, resolve
+from .qres import CLAUSE, CUBE, reduce_lits, resolve
 from .solver import SAT, UNSAT, Solver
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EXISTS", "FORALL", "SAT", "UNSAT", "CLAUSE", "CUBE",
-    "Block", "Prefix", "Pcnf", "Constraint", "Solver", "Stats",
+    "Block", "Prefix", "Pcnf", "Solver", "Stats",
     "UsageError", "ParseError",
     "normalize_clause",
     "reduce_lits", "resolve",
-    "eval_pcnf", "is_model", "check_redundant",
+    "eval_pcnf",
     "__version__",
 ]

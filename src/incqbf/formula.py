@@ -1,4 +1,4 @@
-"""Prenex-CNF data model: quantifier prefix, clauses, assignments.
+"""Prenex-CNF data model: quantifier prefix and clauses.
 
 Variables are positive integers, literals are signed integers (a negative
 literal is the negation of its variable).  A prefix is an ordered list of
@@ -18,6 +18,11 @@ class UsageError(ValueError):
     """An operation was called with its preconditions violated."""
 
 
+def by_variable(lit: int):
+    """Sort key of the literal normal form: by variable id, negative first."""
+    return abs(lit), lit
+
+
 def normalize_clause(lits) -> tuple[int, ...] | None:
     """Deduplicate literals and sort by variable id.
 
@@ -30,22 +35,7 @@ def normalize_clause(lits) -> tuple[int, ...] | None:
             raise UsageError("literal 0 is not allowed in a clause")
         if -l in seen:
             return None
-    return tuple(sorted(seen, key=lambda l: (abs(l), l)))
-
-
-def as_assignment(lits) -> dict[int, bool]:
-    """Turn an iterable of literals into a var -> value map.
-
-    Raises UsageError if some variable appears with both signs.
-    """
-    a: dict[int, bool] = {}
-    for l in lits:
-        v = abs(l)
-        val = l > 0
-        if a.get(v, val) != val:
-            raise UsageError("assignment sets variable %d both ways" % v)
-        a[v] = val
-    return a
+    return tuple(sorted(seen, key=by_variable))
 
 
 @dataclass
@@ -64,11 +54,7 @@ class Prefix:
     def __init__(self, blocks=None):
         self.blocks: list[Block] = []
         self._pos: dict[int, int] = {}
-        for blk in blocks or []:
-            if isinstance(blk, Block):
-                q, vs = blk.quantifier, blk.variables
-            else:
-                q, vs = blk
+        for q, vs in blocks or []:
             i = self.add_block(q)
             for v in vs:
                 self.add_variable(i, v)
@@ -165,16 +151,6 @@ class Pcnf:
                 self.prefix.add_variable(self.prefix.free_block(), v)
         self.clauses.append(c)
         return c
-
-    def copy(self) -> "Pcnf":
-        f = Pcnf(self.prefix.copy())
-        f.clauses = list(self.clauses)
-        return f
-
-    def __eq__(self, other):
-        return (isinstance(other, Pcnf)
-                and self.prefix == other.prefix
-                and self.clauses == other.clauses)
 
     def __repr__(self):
         return "Pcnf(%r, %r)" % (self.prefix.as_pairs(), self.clauses)

@@ -100,8 +100,11 @@ class FrameStack:
         more, unless it was declared and never used or the coming solve
         assumes it.  Cube and model literals over deleted variables are
         stripped, and models that then coincide are kept once.  Learned
-        clauses mentioning deleted variables are dropped outright; those
-        tied to a popped frame already went with it in garbage_collect.
+        clauses need no repair: one holds only variables of the clauses it
+        was derived from, each tagged no later than itself, and frames pop
+        last-in first-out, so while it survives those clauses are enabled
+        and keep its variables in the prefix.  A learned clause tied to a
+        popped frame went with it in garbage_collect.
         """
         st = self.state
         used = {abs(l) for c in st.clauses for l in c.lits}
@@ -127,9 +130,6 @@ class FrameStack:
                                for m in st.models)
         st.models.clear()
         st.models.extend(models)
-        st.learned_clauses = [
-            c for c in st.learned_clauses
-            if not any(abs(l) in removed for l in c.lits)]
 
     def _addition_recheck(self) -> None:
         """Clause additions (and new existential assumptions) invalidate

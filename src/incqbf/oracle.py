@@ -2,14 +2,14 @@
 
 Recursive two-player evaluation following the prefix: a universal variable
 needs both branches true, an existential variable needs one.  Intended for
-cross-checking the search engine on small inputs; eval refuses formulas with
-more variables than the bound.
+cross-checking the search engine on small inputs; eval_pcnf refuses formulas
+with more variables than the bound.  The test suite builds its model and
+redundancy checks (tests/gen.py) on top of it.
 """
 
 from __future__ import annotations
 
-from .formula import FORALL, Pcnf, UsageError, as_assignment
-from .qres import CLAUSE, CUBE, Constraint
+from .formula import FORALL, Pcnf, UsageError
 
 DEFAULT_BOUND = 24
 
@@ -35,53 +35,25 @@ def _assign_clauses(clauses, v, val):
     return out
 
 
-def _assign_cube(cube, v, val):
-    """Simplify a cube under v=val.  Returns None when a literal falsifies."""
-    keep = []
-    for l in cube:
-        if abs(l) == v:
-            if (l > 0) != val:
-                return None
-        else:
-            keep.append(l)
-    return tuple(keep)
-
-
-def _rec(order, idx, clauses, cube):
+def _rec(order, idx, clauses):
     # clauses: list of tuples, [] when all satisfied, None when one falsified.
-    # cube: tuple of pending literals, () when satisfied, None when falsified.
-    if clauses == [] or cube == ():
+    if clauses == []:
         return True
-    if clauses is None and cube is None:
+    if clauses is None:
         return False
-    occ = set()
-    if clauses:
-        for c in clauses:
-            for l in c:
-                occ.add(abs(l))
-    if cube:
-        for l in cube:
-            occ.add(abs(l))
-    while idx < len(order) and order[idx][0] not in occ:
+    occ = {abs(l) for c in clauses for l in c}
+    while order[idx][0] not in occ:
         idx += 1
     v, q = order[idx]
-    result = q == FORALL
     for val in (False, True):
-        sub_clauses = None if clauses is None else _assign_clauses(clauses, v, val)
-        sub_cube = None if cube is None else _assign_cube(cube, v, val)
-        r = _rec(order, idx + 1, sub_clauses, sub_cube)
-        if q == FORALL:
-            result = result and r
-            if not result:
-                return False
-        else:
-            result = result or r
-            if result:
-                return True
-    return result
+        r = _rec(order, idx + 1, _assign_clauses(clauses, v, val))
+        if r != (q == FORALL):
+            return r
+    return q == FORALL
 
 
-def _prepare(f: Pcnf, bound: int):
+def eval_pcnf(f: Pcnf, bound: int = DEFAULT_BOUND) -> bool:
+    """True iff the closed PCNF is satisfiable."""
     if f.prefix.num_variables() > bound:
         raise UsageError("oracle bound exceeded: %d variables > %d"
                          % (f.prefix.num_variables(), bound))
@@ -89,48 +61,4 @@ def _prepare(f: Pcnf, bound: int):
     clauses = list(f.clauses)
     if any(len(c) == 0 for c in clauses):
         clauses = None
-    return order, clauses
-
-
-def eval_pcnf(f: Pcnf, bound: int = DEFAULT_BOUND) -> bool:
-    """True iff the closed PCNF is satisfiable."""
-    order, clauses = _prepare(f, bound)
-    return _rec(order, 0, clauses, None)
-
-
-def is_model(f: Pcnf, assignment) -> bool:
-    """True iff the assignment satisfies every clause of f."""
-    a = assignment if isinstance(assignment, dict) else as_assignment(assignment)
-    for c in f.clauses:
-        if not any(a.get(abs(l)) == (l > 0) for l in c):
-            return False
-    return True
-
-
-def check_redundant(f: Pcnf, c: Constraint, bound: int = DEFAULT_BOUND,
-                    base: bool | None = None) -> bool:
-    """True iff adding constraint c leaves satisfiability unchanged.
-
-    Clauses are checked conjunctively (prefix . (phi and c)), cubes under the
-    matrix disjunction semantics (prefix . (phi or c)).  base may carry a
-    cached eval_pcnf(f) result.
-    """
-    for l in c.lits:
-        if not f.prefix.declared(abs(l)):
-            raise UsageError("constraint variable %d not in the prefix" % abs(l))
-    order, clauses = _prepare(f, bound)
-    if base is None:
-        base = _rec(order, 0, clauses, None)
-    if c.kind == CLAUSE:
-        if clauses is None:
-            with_c = None
-        elif len(c.lits) == 0:
-            with_c = None
-        else:
-            with_c = clauses + [tuple(c.lits)]
-        other = _rec(order, 0, with_c, None)
-    elif c.kind == CUBE:
-        other = _rec(order, 0, clauses, tuple(c.lits))
-    else:
-        raise UsageError("bad constraint kind %r" % (c.kind,))
-    return other == base
+    return _rec(order, 0, clauses)

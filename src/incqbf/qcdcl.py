@@ -1,8 +1,9 @@
 """QCDCL search engine with clause and cube learning.
 
 The engine works on a mutable SolverState: a user-visible quantifier prefix,
-original and learned constraints, and a trail of assignments with decision
-levels and antecedents.  The state object itself acts as the ordering object
+original and learned constraints (Constraint records: sorted literals plus
+bookkeeping), and a trail of assignments with decision levels and
+antecedents.  The state object itself acts as the ordering object
 consumed by the qres calculus: each variable assumed in the current solve
 sits in front of every block, so reduction never drops an assumption literal
 that a constraint depends on.
@@ -28,9 +29,10 @@ ever hold live constraints.
 
 Conflict and solution analysis are one kernel, _analyze, parametrised by
 kind: a learned clause is asserting on its falsified existential literals, a
-learned cube on its satisfied universal literals.  Resolution is
-long-distance, so a learned clause may hold a universal and its negation
-(and a cube an existential); such a constraint cannot fire once that
+learned cube on its satisfied universal literals.  The working resolvent is a
+plain set of literals, and qres sees only literals, never a record.
+Resolution is long-distance, so a learned clause may hold a universal and its
+negation (and a cube an existential); such a constraint cannot fire once that
 variable is assigned.
 
 Frames of the clause stack are not variables here: a clause's frame is only
@@ -45,8 +47,8 @@ from collections import deque
 from dataclasses import asdict, dataclass
 
 from . import qres
-from .formula import EXISTS, FORALL, Prefix, UsageError
-from .qres import CLAUSE, CUBE, Constraint
+from .formula import EXISTS, FORALL, Prefix, UsageError, by_variable
+from .qres import CLAUSE, CUBE
 
 RESTART_FIRST = 256
 RESTART_FACTOR = 1.5
@@ -80,6 +82,38 @@ class Stats:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+class Constraint:
+    """A stored clause or cube and its bookkeeping.
+
+    lits is a tuple sorted by variable id; a learned clause may hold a
+    universal and its negation (a merged literal), a learned cube an
+    existential and its negation.  The pool holding a constraint gives its
+    kind.  selector tags a clause with the id of the frame whose pop
+    removes it (0 when none); the id is no variable and never occurs in
+    lits.  The counters belong to the trail: nsat (clauses only) counts the
+    currently satisfied literals; nfalse and nopen (cubes only) count the
+    currently falsified literals and the still unassigned universal
+    literals.  A constraint dropped by database reduction simply leaves
+    every list that held it; there is no tombstone.
+    """
+
+    __slots__ = ("lits", "cid", "learned", "activity", "selector",
+                 "nsat", "nfalse", "nopen")
+
+    def __init__(self, lits, cid, learned, selector=0):
+        self.lits = lits
+        self.cid = cid
+        self.learned = learned
+        self.activity = 0.0
+        self.selector = selector
+        self.nsat = 0
+        self.nfalse = 0
+        self.nopen = 0
+
+    def __repr__(self):
+        return "Constraint(%r, cid=%d)" % (list(self.lits), self.cid)
 
 
 def _occurrences(constraints) -> dict[int, list[Constraint]]:
@@ -122,7 +156,6 @@ class SolverState:
         self.value: dict[int, bool] = {}
         self.varlevel: dict[int, int] = {}
         self.reason: dict[int, object] = {}
-        self.trailpos: dict[int, int] = {}
         self.trail: list[int] = []
         self.level_lim: list[int] = [0]
         self.level = 0
@@ -168,8 +201,8 @@ class SolverState:
     # ---- constraint storage ----
 
     def register_clause(self, lits, selector=0, learned=False) -> Constraint:
-        c = Constraint(CLAUSE, lits, cid=self.next_cid, learned=learned,
-                       selector=selector)
+        c = Constraint(tuple(sorted(lits, key=by_variable)), self.next_cid,
+                       learned, selector)
         self.next_cid += 1
         (self.learned_clauses if learned else self.clauses).append(c)
         for l in c.lits:
@@ -180,12 +213,12 @@ class SolverState:
         return c
 
     def register_cube(self, lits) -> Constraint:
-        key = tuple(sorted(lits, key=lambda l: (abs(l), l)))
+        key = tuple(sorted(lits, key=by_variable))
         existing = self._cube_index.get(key)
         if existing is not None:
             existing.activity += self.cla_inc
             return existing
-        c = Constraint(CUBE, key, cid=self.next_cid, learned=True)
+        c = Constraint(key, self.next_cid, True)
         self.next_cid += 1
         c.activity = self.cla_inc
         self.cubes.append(c)
@@ -220,7 +253,6 @@ class SolverState:
         self.value[v] = lit > 0
         self.varlevel[v] = self.level
         self.reason[v] = reason
-        self.trailpos[v] = len(self.trail)
         self.trail.append(lit)
         var = self.vars[v]
         var.phase = lit > 0
@@ -245,7 +277,6 @@ class SolverState:
         del self.value[v]
         del self.varlevel[v]
         del self.reason[v]
-        del self.trailpos[v]
         for c in self.clause_occ.get(lit, ()):
             c.nsat -= 1
             if c.nsat == 0 and not c.learned:
@@ -400,7 +431,7 @@ class SolverState:
 
     # ---- conflict / solution analysis ----
 
-    def _asserting(self, cur: set[int], own: list[int], kind: str):
+    def _asserting(self, cur: set[int], own: set[int], kind: str):
         """(backjump level, asserting literal) when cur asserts, else None.
 
         own holds cur's non-assumption literals of the pivot quantifier.
@@ -454,20 +485,24 @@ class SolverState:
         (cubes) on every other pivot-quantifier literal, and a clash of the
         other quantifier was still unassigned when the antecedent fired,
         which puts it right of the pivot.  The antecedent's other
-        pivot-quantifier literals precede the pivot on the trail, so the
-        loop ends.  The resolvent's selector tag is the larger of the two
-        premises': frame ids grow in push order, so the later frame pops
-        first, and its pop removes the resolvent before any other
-        contributing frame goes.  Returns
-        (lits, selector, backjump level, asserting literal) or, for a
-        terminal constraint (empty modulo assumption literals),
+        pivot-quantifier literals precede the pivot on the trail, so each
+        pivot lies left of the previous one: the search for the next pivot
+        walks the trail backwards from the last, and the loop ends.  The
+        resolvent's selector tag is the larger of the two premises': frame
+        ids grow in push order, so the later frame pops first, and its pop
+        removes the resolvent before any other contributing frame goes.
+        Returns (lits, selector, backjump level, asserting literal) or, for
+        a terminal constraint (empty modulo assumption literals),
         (lits, selector, None, None)."""
         own_q = EXISTS if kind == CLAUSE else FORALL
+        # a clause's own literals are false on the trail, a cube's true
+        sign = 1 if kind == CUBE else -1
+        i = len(self.trail)
         while True:
             cur = set(qres.reduce_lits(self, cur, kind))
-            own = [l for l in cur
+            own = {l for l in cur
                    if self.quantifier(abs(l)) == own_q
-                   and self.reason.get(abs(l)) is not ASSUMPTION]
+                   and self.reason.get(abs(l)) is not ASSUMPTION}
             if not own:
                 self._decay()
                 return cur, sel, None, None
@@ -475,11 +510,13 @@ class SolverState:
             if hit is not None:
                 self._decay()
                 return cur, sel, hit[0], hit[1]
-            pivot = max(own, key=lambda l: self.trailpos[abs(l)])
+            i -= 1
+            while sign * self.trail[i] not in own:
+                i -= 1
+            pivot = sign * self.trail[i]
             ante = self.reason[abs(pivot)]
             self._bump_constraint(ante)
-            res = qres.resolve(self, ante, Constraint(kind, cur), -pivot)
-            cur = set(res.lits)
+            cur = set(qres.resolve(self, kind, ante.lits, cur, -pivot))
             sel = max(sel, ante.selector)
 
     def implicant(self, model) -> set[int]:

@@ -7,8 +7,9 @@ reproduce from the seed printed in the assertion message.
 import itertools
 import random
 
-from incqbf import EXISTS, FORALL, Pcnf, Prefix, UsageError, eval_pcnf
-from incqbf.formula import _compact_prefix, as_assignment
+from incqbf import (CLAUSE, CUBE, EXISTS, FORALL, Pcnf, Prefix, UsageError,
+                    eval_pcnf)
+from incqbf.formula import _compact_prefix
 from incqbf.solver import Solver
 
 
@@ -108,6 +109,54 @@ def kbkf(t):
         f.add_clause([x(j), fs[j - 1]])
         f.add_clause([-x(j), fs[j - 1]])
     return f
+
+
+def as_assignment(lits):
+    """Turn an iterable of literals into a var -> value map.
+
+    Raises UsageError if some variable appears with both signs.
+    """
+    a = {}
+    for l in lits:
+        v = abs(l)
+        val = l > 0
+        if a.get(v, val) != val:
+            raise UsageError("assignment sets variable %d both ways" % v)
+        a[v] = val
+    return a
+
+
+def is_model(f, assignment):
+    """True iff the assignment satisfies every clause of f."""
+    a = assignment if isinstance(assignment, dict) else as_assignment(assignment)
+    for c in f.clauses:
+        if not any(a.get(abs(l)) == (l > 0) for l in c):
+            return False
+    return True
+
+
+def check_redundant(f, kind, lits, base=None):
+    """True iff adding the clause or cube lits leaves the truth of f unchanged.
+
+    A clause is checked conjunctively, prefix.(phi and C); a cube under the
+    matrix disjunction semantics, prefix.(phi or l1 and ... and lk), through
+    its CNF, which holds C or lj for every clause C of phi and every lj.
+    Tautologies drop out: a clause holding u and -u is always redundant, and
+    a cube holding x and -x leaves phi.  base may carry a cached
+    eval_pcnf(f) result.
+    """
+    for l in lits:
+        if not f.prefix.declared(abs(l)):
+            raise UsageError("constraint variable %d not in the prefix" % abs(l))
+    if base is None:
+        base = eval_pcnf(f)
+    if kind == CLAUSE:
+        clauses = f.clauses + [lits]
+    elif kind == CUBE:
+        clauses = [c + (l,) for c in f.clauses for l in lits]
+    else:
+        raise UsageError("bad constraint kind %r" % (kind,))
+    return eval_pcnf(Pcnf(f.prefix, clauses)) == base
 
 
 def apply_assignment(f, assignment):

@@ -8,16 +8,15 @@ Run with `pytest -v tests/test_acceptance.py` to get one line per criterion.
 import random
 import time
 
-from incqbf import (CLAUSE, CUBE, EXISTS, FORALL, Constraint, Pcnf, Prefix,
-                    Solver, check_redundant, eval_pcnf, resolve)
+from incqbf import (CLAUSE, CUBE, EXISTS, FORALL, Pcnf, Prefix, Solver,
+                    eval_pcnf, resolve)
 from incqbf.formula import _compact_prefix
-from incqbf.oracle import is_model
 from incqbf.qcdcl import SolverState
 from incqbf.qres import reduce_lits
 from incqbf.cli import run_bench
 
-from gen import (BENCH_SEEDS, build_solver, random_pcnf, random_session,
-                 restricted_verdict)
+from gen import (BENCH_SEEDS, build_solver, check_redundant, is_model,
+                 random_pcnf, random_session, restricted_verdict)
 from test_cli import BENCH_DIR
 from test_incremental import audit_selectors
 
@@ -59,22 +58,17 @@ def worked_solver(clauses):
 
 def test_acceptance_worked_example():
     p = worked_prefix()
-    c3 = Constraint(CLAUSE, (-1, 4))
-    c4 = Constraint(CLAUSE, (-8, -4))
-    c7 = resolve(p, c3, c4, 4)
-    assert c7.lits == (-1, -8)
-    assert reduce_lits(p, c7.lits, CLAUSE) == (-1,)
-    c9 = Constraint(CUBE, (6, 2, -8, -5, 4))
-    assert c9.lits == (2, 4, -5, 6, -8)
-    c10 = Constraint(CUBE, reduce_lits(p, c9.lits, CUBE))
-    assert c10.lits == (-8,)
-    c12 = Constraint(CUBE, reduce_lits(p, (8, -4, -1, 5, 6, 2), CUBE))
-    assert c12.lits == (-1, 8)
-    c13 = resolve(p, c12, c10, 8)
-    assert c13.lits == (-1,)
-    assert reduce_lits(p, c13.lits, CUBE) == ()
-    assert resolve(p, Constraint(CLAUSE, (2, 4)),
-                   Constraint(CLAUSE, (-2, -4)), 4) is None
+    c7 = resolve(p, CLAUSE, (-1, 4), (-8, -4), 4)
+    assert c7 == (-1, -8)
+    assert reduce_lits(p, c7, CLAUSE) == (-1,)
+    c10 = reduce_lits(p, (6, 2, -8, -5, 4), CUBE)
+    assert c10 == (-8,)
+    c12 = reduce_lits(p, (8, -4, -1, 5, 6, 2), CUBE)
+    assert sorted(c12) == [-1, 8]
+    c13 = resolve(p, CUBE, c12, c10, 8)
+    assert c13 == (-1,)
+    assert reduce_lits(p, c13, CUBE) == ()
+    assert resolve(p, CLAUSE, (2, 4), (-2, -4), 4) is None
     f = worked_pcnf()
     assert eval_pcnf(f) is True
     assert worked_solver(WORKED_CLAUSES).solve() is True
@@ -136,7 +130,7 @@ def test_acceptance_retention_scenarios():
     g = s.enabled_pcnf()
     a4 = frozenset({-1, 8, 5, 2, 6, -4})
     assert is_model(g, a4)
-    assert check_redundant(g, Constraint(CUBE, (-1, 8), learned=True))
+    assert check_redundant(g, CUBE, (-1, 8))
     assert s.solve() is eval_pcnf(g) is True
     print("ACCEPTANCE retention-scenarios PASS")
 
@@ -202,12 +196,10 @@ def test_acceptance_learned_constraints_redundant():
         g = s.enabled_pcnf()
         base = eval_pcnf(g)
         for c in st.learned_clauses:
-            assert check_redundant(
-                g, Constraint(CLAUSE, c.lits, learned=True), base=base), trial
+            assert check_redundant(g, CLAUSE, c.lits, base=base), trial
             audited += 1
         for c in st.cubes:
-            assert check_redundant(
-                g, Constraint(CUBE, c.lits, learned=True), base=base), trial
+            assert check_redundant(g, CUBE, c.lits, base=base), trial
             audited += 1
         for m in st.models:
             assert is_model(g, m), trial

@@ -7,9 +7,9 @@ import pytest
 
 from incqbf import (EXISTS, FORALL, Pcnf, Prefix, UsageError, eval_pcnf,
                     normalize_clause)
-from incqbf.formula import _compact_prefix, as_assignment
+from incqbf.formula import _compact_prefix
 
-from gen import apply_assignment, random_pcnf
+from gen import apply_assignment, as_assignment, random_pcnf
 
 
 def worked_formula():

@@ -2,10 +2,10 @@
 search no longer enumerates whole-trail models."""
 
 from incqbf import eval_pcnf
-from incqbf.oracle import is_model
 from incqbf.qcdcl import SolverState
 
-from gen import build_solver, kbkf, random_session, restricted_verdict
+from gen import (build_solver, is_model, kbkf, random_session,
+                 restricted_verdict)
 
 
 def test_every_initial_cube_satisfies_the_enabled_clauses(monkeypatch):

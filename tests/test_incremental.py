@@ -167,7 +167,6 @@ def test_deletion_cleanup_repairs_stored_constraints():
     c1.activity = 5.0
     c2.activity = 9.0
     keep_taut = st.register_clause((1,), selector=0, learned=True)
-    drop_var = st.register_clause((3,), selector=0, learned=True)
     drop_sel = st.register_clause((4,), selector=sel, learned=True)
     s.pop()
     s._frames.prepare_solve(True, ())
@@ -178,7 +177,6 @@ def test_deletion_cleanup_repairs_stored_constraints():
     assert st.cubes[0].activity == 9.0
     assert list(st.models) == [frozenset({1, -2})]
     assert keep_taut in st.learned_clauses
-    assert drop_var not in st.learned_clauses
     assert drop_sel not in st.learned_clauses
 
 

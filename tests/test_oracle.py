@@ -1,15 +1,15 @@
-"""Brute-force semantics used as ground truth everywhere else."""
+"""Brute-force semantics used as ground truth everywhere else, and the
+model and redundancy checks of tests/gen.py built on it."""
 
 import random
 
 import pytest
 
-from incqbf import (CLAUSE, CUBE, EXISTS, FORALL, Constraint, Pcnf, Prefix,
-                    UsageError, check_redundant, eval_pcnf)
-from incqbf.oracle import is_model
+from incqbf import (CLAUSE, CUBE, EXISTS, FORALL, Pcnf, Prefix, UsageError,
+                    eval_pcnf)
 from incqbf.qres import reduce_lits
 
-from gen import random_pcnf
+from gen import check_redundant, is_model, random_pcnf
 
 
 def build(pairs, clauses):
@@ -61,30 +61,29 @@ def test_is_model():
 def test_clause_redundancy_frozen():
     f = build(*WORKED)
     # derivable unit: adding it keeps the formula true
-    assert check_redundant(f, Constraint(CLAUSE, (-1,), learned=True))
+    assert check_redundant(f, CLAUSE, (-1,))
     # forcing variable 4 breaks it
-    assert not check_redundant(f, Constraint(CLAUSE, (4,), learned=True))
+    assert not check_redundant(f, CLAUSE, (4,))
     pairs, clauses = WORKED
     g = build(pairs, clauses + [(-2, -4)])
-    assert check_redundant(g, Constraint(CLAUSE, (-1,), learned=True))
+    assert check_redundant(g, CLAUSE, (-1,))
 
 
 def test_cube_redundancy_frozen():
     f = build(*WORKED)
-    assert check_redundant(f, Constraint(CUBE, (-8,), learned=True))
-    assert check_redundant(f, Constraint(CUBE, (-1, 8), learned=True))
+    assert check_redundant(f, CUBE, (-8,))
+    assert check_redundant(f, CUBE, (-1, 8))
     pairs, clauses = WORKED
     g = build(pairs, clauses + [(-2, -4)])
     # a satisfiable disjunct would flip an unsatisfiable formula
-    assert not check_redundant(g, Constraint(CUBE, (1,), learned=True))
+    assert not check_redundant(g, CUBE, (1,))
 
 
 def test_sampled_clause_is_redundant():
     rng = random.Random(4003)
     for _ in range(120):
         f = random_pcnf(rng, max_vars=7, max_clauses=10, min_clauses=1)
-        c = Constraint(CLAUSE, rng.choice(f.clauses), learned=True)
-        assert check_redundant(f, c)
+        assert check_redundant(f, CLAUSE, rng.choice(f.clauses))
 
 
 def test_model_cube_is_redundant():
@@ -106,10 +105,7 @@ def test_model_cube_is_redundant():
                 break
         if model is None:
             continue
-        cube = Constraint(CUBE, model, learned=True)
-        red = Constraint(CUBE, reduce_lits(f.prefix, cube.lits, CUBE),
-                         learned=True)
-        assert check_redundant(f, cube)
-        assert check_redundant(f, red)
+        assert check_redundant(f, CUBE, model)
+        assert check_redundant(f, CUBE, reduce_lits(f.prefix, model, CUBE))
         checked += 1
     assert checked > 100

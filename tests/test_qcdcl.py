@@ -9,7 +9,8 @@ from incqbf import CLAUSE, CUBE, EXISTS, FORALL, Solver, UsageError, eval_pcnf
 from incqbf import cli, qcdcl
 from incqbf.qcdcl import DECISION, SolverState, SolverTimeout
 
-from gen import bench_instance, build_solver, random_pcnf, random_session
+from gen import (bench_instance, build_solver, check_redundant, random_pcnf,
+                 random_session)
 
 
 def state(pairs):
@@ -417,8 +418,6 @@ def test_model_store_keeps_the_newest_models_up_to_its_bound(monkeypatch):
 
 def test_learned_constraints_available_after_solve():
     rng = random.Random(4008)
-    from incqbf import check_redundant
-    from incqbf.qres import Constraint
     seen = 0
     for _ in range(40):
         f = random_pcnf(rng, max_vars=8, max_clauses=16, min_clauses=4)
@@ -428,12 +427,10 @@ def test_learned_constraints_available_after_solve():
         g = s.enabled_pcnf()
         base = eval_pcnf(g)
         for c in st.learned_clauses:
-            assert check_redundant(g, Constraint(CLAUSE, c.lits, learned=True),
-                                   base=base)
+            assert check_redundant(g, CLAUSE, c.lits, base=base)
             seen += 1
         for c in st.cubes:
-            assert check_redundant(g, Constraint(CUBE, c.lits, learned=True),
-                                   base=base)
+            assert check_redundant(g, CUBE, c.lits, base=base)
             seen += 1
     assert seen > 30
 

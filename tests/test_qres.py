@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from incqbf import (CLAUSE, CUBE, EXISTS, FORALL, Constraint, Prefix,
-                    UsageError, reduce_lits, resolve)
+from incqbf import (CLAUSE, CUBE, EXISTS, FORALL, Prefix, UsageError,
+                    reduce_lits, resolve)
 
 from gen import random_pcnf
 
@@ -23,66 +23,53 @@ def worked_prefix():
 
 
 def test_constraint_normal_form():
-    c = Constraint(CLAUSE, (4, -1, 8))
-    assert c.lits == (-1, 4, 8)
-    assert c.kind == CLAUSE
-    assert c.selector == 0
+    # a resolvent is a tuple sorted by variable id, whatever the input order
+    p = worked_prefix()
+    r = resolve(p, CLAUSE, (4, 6, -1, -2), {2, 8, -5}, -2)
+    assert r == (-1, 4, -5, 6, 8)
+    assert isinstance(r, tuple)
     with pytest.raises(UsageError):
-        Constraint("other", (1,))
+        resolve(p, "other", (4,), (-4,), 4)
 
 
 def test_clause_resolution_chain():
     p = worked_prefix()
-    c3 = Constraint(CLAUSE, (-1, 4))
-    c4 = Constraint(CLAUSE, (-8, -4))
-    c7 = resolve(p, c3, c4, 4)
-    assert c7.lits == (-1, -8)
-    assert c7.learned
-    assert reduce_lits(p, c7.lits, CLAUSE) == (-1,)
+    c7 = resolve(p, CLAUSE, (-1, 4), (-8, -4), 4)
+    assert c7 == (-1, -8)
+    assert reduce_lits(p, c7, CLAUSE) == (-1,)
 
 
 def test_cube_resolution_chain():
     p = worked_prefix()
-    a1 = Constraint(CUBE, (6, 2, -8, -5, 4))
-    assert a1.lits == (2, 4, -5, 6, -8)
-    c10 = Constraint(CUBE, reduce_lits(p, a1.lits, CUBE))
-    assert c10.lits == (-8,)
-    a2 = Constraint(CUBE, (8, -4, -1, 5, 6, 2))
-    c12 = Constraint(CUBE, reduce_lits(p, a2.lits, CUBE))
-    assert c12.lits == (-1, 8)
-    c13 = resolve(p, c12, c10, 8)
+    c10 = reduce_lits(p, (6, 2, -8, -5, 4), CUBE)
+    assert c10 == (-8,)
+    c12 = reduce_lits(p, (8, -4, -1, 5, 6, 2), CUBE)
+    assert sorted(c12) == [-1, 8]
+    c13 = resolve(p, CUBE, c12, c10, 8)
     # sides were reduced, the union is not re-reduced
-    assert c13.lits == (-1,)
-    assert reduce_lits(p, c13.lits, CUBE) == ()
+    assert c13 == (-1,)
+    assert reduce_lits(p, c13, CUBE) == ()
 
 
 def test_resolve_tautology_returns_none():
     p = worked_prefix()
-    c1 = Constraint(CLAUSE, (2, 4))
-    c2 = Constraint(CLAUSE, (-2, -4))
-    assert resolve(p, c1, c2, 4) is None
+    assert resolve(p, CLAUSE, (2, 4), (-2, -4), 4) is None
 
 
 def test_resolve_validates_pivot():
     p = worked_prefix()
-    c1 = Constraint(CLAUSE, (-1, 4))
-    c2 = Constraint(CLAUSE, (-8, -4))
+    c1 = (-1, 4)
+    c2 = (-8, -4)
     with pytest.raises(UsageError):
-        resolve(p, c1, c2, 5)
+        resolve(p, CLAUSE, c1, c2, 5)
     with pytest.raises(UsageError):
-        resolve(p, c2, c1, 4)
+        resolve(p, CLAUSE, c2, c1, 4)
     # clause pivots must be existential
-    u1 = Constraint(CLAUSE, (8, 4))
-    u2 = Constraint(CLAUSE, (-8, 5))
     with pytest.raises(UsageError):
-        resolve(p, u1, u2, 8)
+        resolve(p, CLAUSE, (8, 4), (-8, 5), 8)
     # cube pivots must be universal
-    q1 = Constraint(CUBE, (4, 8))
-    q2 = Constraint(CUBE, (-4, 5))
     with pytest.raises(UsageError):
-        resolve(p, q1, q2, 4)
-    with pytest.raises(UsageError):
-        resolve(p, c1, q1, 4)
+        resolve(p, CUBE, (4, 8), (-4, 5), 4)
 
 
 def test_universal_reduce_respects_blocking_existential():
@@ -126,23 +113,20 @@ def test_reduce_keeps_selector_literals():
 def test_long_distance_merge_right_of_pivot():
     p = worked_prefix()
     # universal 8 lies right of pivot 1: the pair is merged, not rejected
-    r = resolve(p, Constraint(CLAUSE, (1, 8, 4)),
-                Constraint(CLAUSE, (-1, -8, 2)), 1)
-    assert r.lits == (2, 4, -8, 8)
+    r = resolve(p, CLAUSE, (1, 8, 4), (-1, -8, 2), 1)
+    assert r == (2, 4, -8, 8)
     # a merged pair one side already holds is carried over
-    r2 = resolve(p, r, Constraint(CLAUSE, (-2, 6)), 2)
-    assert r2.lits == (4, 6, -8, 8)
+    r2 = resolve(p, CLAUSE, r, (-2, 6), 2)
+    assert r2 == (4, 6, -8, 8)
 
 
 def test_long_distance_rejects_merge_left_of_pivot():
     p = worked_prefix()
     # universal 8 lies left of pivot 4
-    assert resolve(p, Constraint(CLAUSE, (2, 4, 8)),
-                   Constraint(CLAUSE, (-4, -8)), 4) is None
+    assert resolve(p, CLAUSE, (2, 4, 8), (-4, -8), 4) is None
     # so does the pair that premise r holds when the other side has 8 alone
-    r = resolve(p, Constraint(CLAUSE, (1, 8, 4)),
-                Constraint(CLAUSE, (-1, -8, 2)), 1)
-    assert resolve(p, r, Constraint(CLAUSE, (-4, 8, 5)), 4) is None
+    r = resolve(p, CLAUSE, (1, 8, 4), (-1, -8, 2), 1)
+    assert resolve(p, CLAUSE, r, (-4, 8, 5), 4) is None
 
 
 def test_resolve_random_invariants():
@@ -176,7 +160,7 @@ def test_resolve_random_invariants():
             rng.choice((c1, c2)).update((v, -v))
         c1.add(piv)
         c2.add(-piv)
-        r = resolve(prefix, Constraint(kind, c1), Constraint(kind, c2), piv)
+        r = resolve(prefix, kind, tuple(c1), tuple(c2), piv)
         s1 = set(reduce_lits(prefix, tuple(c1), kind)) - {piv}
         s2 = set(reduce_lits(prefix, tuple(c2), kind)) - {-piv}
         pk = prefix.order_key(abs(piv))
@@ -185,7 +169,6 @@ def test_resolve_random_invariants():
             assert r is None
             rejected += 1
             continue
-        assert r is not None and r.kind == kind and r.learned
-        assert set(r.lits) == s1 | s2
+        assert r == tuple(sorted(s1 | s2, key=lambda l: (abs(l), l)))
         merged += bool(clash)
     assert merged > 30 and rejected > 200
