@@ -72,53 +72,62 @@ class FrameStack:
         the cubes.
 
         Order matters: wipe, then deletion cleanup, then the addition
-        recheck, which reseeds the cubes from the stored models, then a
-        wholesale index rebuild.
+        recheck, which reseeds the cubes from the stored models.  The
+        occurrence lists are live, so no step rebuilds them wholesale.
         """
         st = self.state
         assumed = set(assumed)
         new = {st.quantifier(v) for v in assumed - st.assumed}
+        st.unrank(assumed ^ st.assumed)
         st.assumed = assumed
         if not keep_learned:
-            st.learned_clauses = []
-            st.cubes = []
+            st.wipe(qres.CLAUSE)
+            st.wipe(qres.CUBE)
             st.models.clear()
         elif FORALL in new:
-            st.learned_clauses = []
+            st.wipe(qres.CLAUSE)
         if self.popped_since_prepare:
             self._deletion_cleanup()
             self.popped_since_prepare = False
         if self.added or EXISTS in new:
             self._addition_recheck()
             self.added = []
-        st.rebuild_indexes()
 
     def _deletion_cleanup(self) -> None:
         """Compact the prefix after pops and repair stored constraints.
 
-        A variable is deleted when no enabled original clause mentions it any
-        more, unless it was declared and never used or the coming solve
-        assumes it.  Cube and model literals over deleted variables are
-        stripped, and models that then coincide are kept once.  Learned
-        clauses need no repair: one holds only variables of the clauses it
-        was derived from, each tagged no later than itself, and frames pop
-        last-in first-out, so while it survives those clauses are enabled
-        and keep its variables in the prefix.  A learned clause tied to a
-        popped frame went with it in garbage_collect.
+        A variable is deleted when no enabled original clause mentions it
+        (it is no key of clause_occ), unless it was declared and never used
+        or the coming solve assumes it; when none goes, nothing changes.
+        Cube and model literals over deleted variables are stripped, models
+        that then coincide are kept once, and merged blocks are unranked.
+        Learned clauses need no repair: one holds only variables of the
+        clauses it was derived from, each tagged no later than itself, and
+        frames pop last-in first-out, so while it survives those clauses
+        are enabled and keep its variables in the prefix.  A learned clause
+        tied to a popped frame went with it in garbage_collect.
         """
         st = self.state
-        used = {abs(l) for c in st.clauses for l in c.lits}
-        keep = {vid for vid, var in st.vars.items()
-                if vid in used or vid in st.assumed or not var.ever_occurred}
-        st.prefix, removed = _compact_prefix(st.prefix, keep)
+        occ = st.clause_occ
+        removed = {vid for vid, var in st.vars.items()
+                   if var.ever_occurred and vid not in st.assumed
+                   and vid not in occ and -vid not in occ}
         if not removed:
             return
+        old = st.prefix
+        st.prefix, _ = _compact_prefix(old, st.vars.keys() - removed)
         for vid in removed:
             del st.vars[vid]
+        st.unrank(v for blk in st.prefix.blocks
+                  if len({old.order_key(w) for w in blk.variables}) > 1
+                  for v in blk.variables)
+        gone = removed | {-vid for vid in removed}
         new_cubes = []
         index = {}
         for c in st.cubes:
-            lits = tuple(l for l in c.lits if abs(l) not in removed)
+            lits = c.lits
+            if not gone.isdisjoint(lits):
+                lits = tuple(l for l in lits if l not in gone)
             if lits in index:
                 index[lits].activity = max(index[lits].activity, c.activity)
                 continue
@@ -126,10 +135,11 @@ class FrameStack:
             index[lits] = c
             new_cubes.append(c)
         st.cubes = new_cubes
-        models = dict.fromkeys(frozenset(l for l in m if abs(l) not in removed)
+        models = dict.fromkeys(m if gone.isdisjoint(m) else m - gone
                                for m in st.models)
         st.models.clear()
         st.models.extend(models)
+        st.rebuild_indexes()
 
     def _addition_recheck(self) -> None:
         """Clause additions (and new existential assumptions) invalidate
@@ -139,10 +149,9 @@ class FrameStack:
         the store at pop, so every surviving model satisfies every current
         clause; each reseeded cube is the reduced implicant of its model."""
         st = self.state
-        st.cubes = []
-        st._cube_index = {}
+        st.wipe(qres.CUBE)
         survivors = [m for m in st.models
-                     if all(any(l in m for l in c.lits) for c in self.added)]
+                     if all(not m.isdisjoint(c.lits) for c in self.added)]
         st.models.clear()
         st.models.extend(survivors)
         for m in survivors:
@@ -153,7 +162,4 @@ class FrameStack:
         tagged with it.  Frames pop last-in first-out and learning keeps the
         larger tag, so a learned clause tagged with a later frame went when
         that frame popped.  Cubes stay valid when clauses go."""
-        st = self.state
-        st.clauses = [c for c in st.clauses if c.selector != selector]
-        st.learned_clauses = [c for c in st.learned_clauses
-                              if c.selector != selector]
+        self.state.drop_frame(selector)

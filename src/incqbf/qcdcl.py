@@ -18,14 +18,19 @@ literal per clause, not from the whole trail (Giunchiglia, Narizzano &
 Tacchella, JAIR 2006), so the search need not enumerate every universal
 assignment the trail happens to fix.
 
-Clauses and cubes both sit in literal-indexed occurrence lists, and both are
-counter-gated: assign and _unassign_top keep nsat (satisfied literals) on
-every clause, and nfalse (falsified literals) and nopen (unassigned universal
-literals) on every cube.  A clause is scanned only while nsat == 0, a cube
-only while nfalse == 0 and nopen <= 1; a constraint failing its gate can
-neither fire nor turn unit, so skipping it does not change the search.
-_reduce_db rebuilds the occurrence lists of the kind it reduced, so they only
-ever hold live constraints.
+Each pool has live literal-indexed occurrence lists (clause_occ, learned_occ,
+cube_occ) in pool order: registration appends, a pop filters only the lists
+of the dropped clauses' literals, a wipe empties them, and _reduce_db
+rebuilds the reduced pool's.  Propagation walks original clauses before
+learned ones, so the search is the same whatever edits came before a solve.
+Both kinds are counter-gated: assign and _unassign_top keep nsat (satisfied
+literals) on every clause, and nfalse (falsified literals) and nopen
+(unassigned universal literals) on every cube.  A clause is scanned only
+while nsat == 0, a cube only while nfalse == 0 and nopen <= 1; the level-0
+pass also skips a clause with two open existentials, which it has when its
+existential literals outnumber the trail by two.  A constraint failing a
+gate can neither fire nor turn unit, so skipping it does not change the
+search.
 
 Conflict and solution analysis are one kernel, _analyze, parametrised by
 kind: a learned clause is asserting on its falsified existential literals, a
@@ -96,21 +101,25 @@ class Constraint:
     currently satisfied literals; nfalse and nopen (cubes only) count the
     currently falsified literals and the still unassigned universal
     literals.  A constraint dropped by database reduction simply leaves
-    every list that held it; there is no tombstone.
+    every list that held it; there is no tombstone.  Two caches belong to
+    clauses, None until first used: nexist counts the existential literals
+    (set at the clause's first level-0 pass), and ranked holds an original
+    clause's literals in implicant order (see SolverState.implicant).
     """
 
-    __slots__ = ("lits", "cid", "learned", "activity", "selector",
-                 "nsat", "nfalse", "nopen")
+    __slots__ = ("lits", "cid", "activity", "selector", "nsat", "nfalse",
+                 "nopen", "nexist", "ranked")
 
-    def __init__(self, lits, cid, learned, selector=0):
+    def __init__(self, lits, cid, selector=0):
         self.lits = lits
         self.cid = cid
-        self.learned = learned
         self.activity = 0.0
         self.selector = selector
         self.nsat = 0
         self.nfalse = 0
         self.nopen = 0
+        self.nexist = None
+        self.ranked = None
 
     def __repr__(self):
         return "Constraint(%r, cid=%d)" % (list(self.lits), self.cid)
@@ -150,6 +159,7 @@ class SolverState:
         # variables assumed in the current (or coming) solve; see order_key
         self.assumed: set[int] = set()
         self.clause_occ: dict[int, list[Constraint]] = {}
+        self.learned_occ: dict[int, list[Constraint]] = {}
         self.cube_occ: dict[int, list[Constraint]] = {}
         self.n_sat_orig = 0
         # trail
@@ -202,14 +212,18 @@ class SolverState:
 
     def register_clause(self, lits, selector=0, learned=False) -> Constraint:
         c = Constraint(tuple(sorted(lits, key=by_variable)), self.next_cid,
-                       learned, selector)
+                       selector)
         self.next_cid += 1
-        (self.learned_clauses if learned else self.clauses).append(c)
-        for l in c.lits:
-            self.clause_occ.setdefault(l, []).append(c)
-        c.nsat = sum(1 for l in c.lits if self.value.get(abs(l)) == (l > 0))
         if learned:
+            self.learned_clauses.append(c)
+            occ = self.learned_occ
             c.activity = self.cla_inc
+        else:
+            self.clauses.append(c)
+            occ = self.clause_occ
+        for l in c.lits:
+            occ.setdefault(l, []).append(c)
+        c.nsat = sum(1 for l in c.lits if self.value.get(abs(l)) == (l > 0))
         return c
 
     def register_cube(self, lits) -> Constraint:
@@ -218,7 +232,7 @@ class SolverState:
         if existing is not None:
             existing.activity += self.cla_inc
             return existing
-        c = Constraint(key, self.next_cid, True)
+        c = Constraint(key, self.next_cid)
         self.next_cid += 1
         c.activity = self.cla_inc
         self.cubes.append(c)
@@ -233,15 +247,63 @@ class SolverState:
                 c.nfalse += 1
         return c
 
+    def drop_frame(self, selector: int) -> None:
+        """Drop the clauses tagged with selector, the topmost frame.  Its
+        original clauses were added last, so they end their pool and their
+        lists and go from the back; learned ones may sit anywhere.  Empty
+        lists go, so clause_occ's keys are the original clauses' literals."""
+        clauses, occ = self.clauses, self.clause_occ
+        i = len(clauses)
+        while i and clauses[i - 1].selector == selector:
+            i -= 1
+        for c in reversed(clauses[i:]):
+            for l in c.lits:
+                lst = occ[l]
+                lst.pop()
+                if not lst:
+                    del occ[l]
+        del clauses[i:]
+        pool, occ = self.learned_clauses, self.learned_occ
+        gone = [c for c in pool if c.selector == selector]
+        if not gone:
+            return
+        for l in {l for c in gone for l in c.lits}:
+            kept = [c for c in occ[l] if c.selector != selector]
+            if kept:
+                occ[l] = kept
+            else:
+                del occ[l]
+        self.learned_clauses = [c for c in pool if c.selector != selector]
+
+    def unrank(self, vids) -> None:
+        """Forget the implicant order of every original clause over one of
+        vids, whose rank against the other variables changed."""
+        occ = self.clause_occ
+        for v in vids:
+            for c in occ.get(v, ()):
+                c.ranked = None
+            for c in occ.get(-v, ()):
+                c.ranked = None
+
+    def wipe(self, kind: str) -> None:
+        """Drop every learned clause, or every cube, with its indexes."""
+        if kind == CLAUSE:
+            self.learned_clauses = []
+            self.learned_occ = {}
+        else:
+            self.cubes = []
+            self.cube_occ = {}
+            self._cube_index = {}
+
     def rebuild_indexes(self) -> None:
-        """Recompute occurrence lists and each cube's nopen from the live
-        constraint lists.  Only valid with an empty trail, where unwind has
-        already brought nsat, nfalse and n_sat_orig back to zero; nopen
-        changes when _deletion_cleanup strips cube literals."""
+        """Rebuild the cube side after _deletion_cleanup stripped variables
+        from the cubes: each cube's nopen, cube_occ and _cube_index.  Only
+        valid with an empty trail, where unwind has already brought nfalse
+        back to zero.  The clause side needs no rebuild: no clause holds a
+        stripped variable."""
         assert not self.trail
         for c in self.cubes:
             c.nopen = sum(1 for l in c.lits if self.vars[abs(l)].quant == FORALL)
-        self.clause_occ = _occurrences(self.clauses + self.learned_clauses)
         self.cube_occ = _occurrences(self.cubes)
         self._cube_index = {c.lits: c for c in self.cubes}
 
@@ -259,8 +321,10 @@ class SolverState:
         self.stats.assignments += 1
         for c in self.clause_occ.get(lit, ()):
             c.nsat += 1
-            if c.nsat == 1 and not c.learned:
+            if c.nsat == 1:
                 self.n_sat_orig += 1
+        for c in self.learned_occ.get(lit, ()):
+            c.nsat += 1
         if var.quant == FORALL:
             for c in self.cube_occ.get(lit, ()):
                 c.nopen -= 1
@@ -279,8 +343,10 @@ class SolverState:
         del self.reason[v]
         for c in self.clause_occ.get(lit, ()):
             c.nsat -= 1
-            if c.nsat == 0 and not c.learned:
+            if c.nsat == 0:
                 self.n_sat_orig -= 1
+        for c in self.learned_occ.get(lit, ()):
+            c.nsat -= 1
         if self.vars[v].quant == FORALL:
             for c in self.cube_occ.get(lit, ()):
                 c.nopen += 1
@@ -363,9 +429,18 @@ class SolverState:
         for a model of all original clauses, or None when stable.
         """
         if full:
-            for c in self.clauses + self.learned_clauses:
-                if c.nsat == 0 and self._scan_clause(c):
-                    return ("conflict", c)
+            trail = self.trail
+            for pool in (self.clauses, self.learned_clauses):
+                for c in pool:
+                    if c.nsat:
+                        continue
+                    e = c.nexist
+                    if e is None:
+                        e = c.nexist = sum(
+                            1 for l in c.lits if self.vars[abs(l)].quant == EXISTS)
+                    # e - len(trail) >= 2: two existentials are still open
+                    if e - len(trail) < 2 and self._scan_clause(c):
+                        return ("conflict", c)
             for c in self.cubes:
                 if c.nfalse == 0 and c.nopen <= 1 and self._scan_cube(c):
                     return ("solution", c)
@@ -373,6 +448,9 @@ class SolverState:
             lit = self.trail[self.qhead]
             self.qhead += 1
             for c in self.clause_occ.get(-lit, ()):
+                if c.nsat == 0 and self._scan_clause(c):
+                    return ("conflict", c)
+            for c in self.learned_occ.get(-lit, ()):
                 if c.nsat == 0 and self._scan_clause(c):
                     return ("conflict", c)
             for c in self.cube_occ.get(lit, ()):
@@ -516,7 +594,7 @@ class SolverState:
             pivot = sign * self.trail[i]
             ante = self.reason[abs(pivot)]
             self._bump_constraint(ante)
-            cur = set(qres.resolve(self, kind, ante.lits, cur, -pivot))
+            cur = qres.resolve(self, kind, ante.lits, cur, -pivot)
             sel = max(sel, ante.selector)
 
     def implicant(self, model) -> set[int]:
@@ -525,7 +603,14 @@ class SolverState:
         Greedy: each clause that no literal chosen so far satisfies adds one
         of its literals true in model, existential before universal and
         inner before outer, so that existential reduction leaves a short
-        cube.  model must satisfy every original clause.
+        cube; of equally ranked literals the first in the clause wins.
+        model must satisfy every original clause.
+
+        Each clause caches its literals in that order (ranked, by a stable
+        sort), so the choice is its first literal true in model.  Inserting
+        a block or a variable keeps every relative order; prepare_solve
+        unranks the variables whose assumed status changed or whose block
+        compaction merged.
         """
         def rank(l):
             v = abs(l)
@@ -534,7 +619,12 @@ class SolverState:
         chosen: set[int] = set()
         for c in self.clauses:
             if chosen.isdisjoint(c.lits):
-                chosen.add(max((l for l in c.lits if l in model), key=rank))
+                if c.ranked is None:
+                    c.ranked = tuple(sorted(c.lits, key=rank, reverse=True))
+                for l in c.ranked:
+                    if l in model:
+                        chosen.add(l)
+                        break
         return chosen
 
     def analyze_conflict(self, src: Constraint):
@@ -581,7 +671,7 @@ class SolverState:
         if kind == CLAUSE:
             self.learned_clauses = kept
             self.clause_rounds += 1
-            self.clause_occ = _occurrences(self.clauses + kept)
+            self.learned_occ = _occurrences(kept)
         else:
             self.cubes = kept
             self.cube_rounds += 1

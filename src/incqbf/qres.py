@@ -1,4 +1,4 @@
-"""Q-resolution calculus on literal tuples: reduction and resolution.
+"""Q-resolution calculus on plain literals: reduction and resolution.
 
 Clauses resolve on existential pivots after universal reduction of both sides;
 cubes resolve on universal pivots after existential reduction.  Resolution is
@@ -17,7 +17,7 @@ front of all blocks.
 
 from __future__ import annotations
 
-from .formula import EXISTS, FORALL, UsageError, by_variable
+from .formula import EXISTS, FORALL, UsageError
 
 CLAUSE = "clause"
 CUBE = "cube"
@@ -44,16 +44,17 @@ def reduce_lits(prefix, lits, kind) -> tuple[int, ...]:
                   or prefix.order_key(abs(l)) <= bound])
 
 
-def resolve(prefix, kind, lits1, lits2, pivot: int) -> tuple[int, ...] | None:
+def resolve(prefix, kind, lits1, lits2, pivot: int) -> set[int] | None:
     """Resolve two constraints of one kind on a pivot literal.
 
     pivot must occur in lits1 and its negation in lits2; the pivot variable
     must be existential for clauses and universal for cubes.  Both sides are
     reduced before merging, and the union is not reduced further.  Returns
-    the resolvent sorted by variable id, or None when the sides clash on a
-    variable other than the pivot that has the pivot's quantifier or lies
-    at or left of the pivot; a pair of the other quantifier right of the
-    pivot is merged, and so is a pair that one side already holds.
+    the resolvent as a set of literals, in no order, or None when the sides
+    clash on a variable other than the pivot that has the pivot's
+    quantifier or lies at or left of the pivot; a pair of the other
+    quantifier right of the pivot is merged, and so is a pair that one side
+    already holds.
     """
     if kind not in (CLAUSE, CUBE):
         raise UsageError("bad constraint kind %r" % (kind,))
@@ -71,4 +72,4 @@ def resolve(prefix, kind, lits1, lits2, pivot: int) -> tuple[int, ...] | None:
         if -l in side2 and (prefix.quantifier(abs(l)) == need
                             or prefix.order_key(abs(l)) <= pk):
             return None
-    return tuple(sorted(side1 | side2, key=by_variable))
+    return side1 | side2

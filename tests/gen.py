@@ -135,6 +135,22 @@ def is_model(f, assignment):
     return True
 
 
+def greedy_implicant(st, model):
+    """SolverState.implicant without its cached order: each original clause
+    that no literal chosen so far satisfies adds its highest-ranked literal
+    true in model (existential before universal, then inner before outer),
+    the first in the clause among equals."""
+    def rank(l):
+        v = abs(l)
+        return st.quantifier(v) == EXISTS, st.order_key(v)
+
+    chosen = set()
+    for c in st.clauses:
+        if chosen.isdisjoint(c.lits):
+            chosen.add(max((l for l in c.lits if l in model), key=rank))
+    return chosen
+
+
 def check_redundant(f, kind, lits, base=None):
     """True iff adding the clause or cube lits leaves the truth of f unchanged.
 

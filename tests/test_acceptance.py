@@ -59,14 +59,14 @@ def worked_solver(clauses):
 def test_acceptance_worked_example():
     p = worked_prefix()
     c7 = resolve(p, CLAUSE, (-1, 4), (-8, -4), 4)
-    assert c7 == (-1, -8)
+    assert c7 == {-1, -8}
     assert reduce_lits(p, c7, CLAUSE) == (-1,)
     c10 = reduce_lits(p, (6, 2, -8, -5, 4), CUBE)
     assert c10 == (-8,)
     c12 = reduce_lits(p, (8, -4, -1, 5, 6, 2), CUBE)
     assert sorted(c12) == [-1, 8]
     c13 = resolve(p, CUBE, c12, c10, 8)
-    assert c13 == (-1,)
+    assert c13 == {-1}
     assert reduce_lits(p, c13, CUBE) == ()
     assert resolve(p, CLAUSE, (2, 4), (-2, -4), 4) is None
     f = worked_pcnf()

@@ -158,8 +158,7 @@ def test_deletion_cleanup_repairs_stored_constraints():
     assert s.solve() is True
     st = s._state
     # plant a known retained state, then pop and prepare
-    st.cubes = []
-    st._cube_index = {}
+    st.wipe(CUBE)
     st.models.clear()
     st.models.append(frozenset({1, -2, 3}))
     c1 = st.register_cube((1, -2))
@@ -191,8 +190,7 @@ def test_addition_recheck_filters_models_and_reseeds_cubes():
     s.add_clause((1, 2, 3))
     assert s.solve() is True
     st = s._state
-    st.cubes = []
-    st._cube_index = {}
+    st.wipe(CUBE)
     st.models.clear()
     st.models.extend([frozenset({1, 2, 3}), frozenset({1, -2, -3})])
     s.add_clause((3,))

@@ -190,12 +190,13 @@ def occurrences(constraints):
 
 
 def assert_indexes(st):
-    """The occurrence lists hold exactly the pooled constraints, in pool
-    order, and every clause's nsat agrees with the trail."""
-    clauses = st.clauses + st.learned_clauses
-    assert st.clause_occ == occurrences(clauses)
+    """Each occurrence list holds exactly its pool, in pool order: the
+    original clauses, the learned clauses and the cubes apart; and every
+    clause's nsat agrees with the trail."""
+    assert st.clause_occ == occurrences(st.clauses)
+    assert st.learned_occ == occurrences(st.learned_clauses)
     assert st.cube_occ == occurrences(st.cubes)
-    for c in clauses:
+    for c in st.clauses + st.learned_clauses:
         nsat = sum(1 for l in c.lits if st.value.get(abs(l)) == (l > 0))
         assert c.nsat == nsat, (c, st.trail)
 
@@ -271,6 +272,86 @@ def test_cube_counters_match_the_trail_in_random_sessions(monkeypatch):
     st = php_state(5, 4)
     assert st.solve_core([]) is False
     assert st.clause_rounds > 0
+
+
+def test_learned_unit_clause_fires_at_level_0_of_the_next_solve(monkeypatch):
+    """The level-0 pass skips a clause only when two of its existentials
+    are open; a learned unit clause kept from the last solve has one, so it
+    is scanned and fires before any decision."""
+    s = Solver()
+    for quant, vs in ((EXISTS, (1,)), (FORALL, (3,)), (EXISTS, (2,))):
+        b = s.new_block(quant)
+        for v in vs:
+            s.add_variable(b, v)
+    s.add_clause((1, 3, 2))
+    s.add_clause((1, 3, -2))
+    assert s.solve() is True
+    st = s._state
+    [unit] = st.learned_clauses
+    assert unit.lits == (1,)
+    scan_clause = SolverState._scan_clause
+    scanned = []
+
+    def recorded_scan(st_, c):
+        scanned.append(c)
+        return scan_clause(st_, c)
+
+    monkeypatch.setattr(SolverState, "_scan_clause", recorded_scan)
+    assert s.solve() is True
+    # the two original clauses hold two existentials each: skipped
+    assert scanned == [unit]
+    assert (s.stats.decisions, s.stats.propagations) == (0, 1)
+
+
+def stable_clause(st, c):
+    """c can neither conflict nor imply a literal on the current trail."""
+    if c.nsat:
+        return True
+    un_e = [l for l in c.lits
+            if abs(l) not in st.value and st.quantifier(abs(l)) == EXISTS]
+    if len(un_e) != 1:
+        return len(un_e) > 1
+    ek = st.order_key(abs(un_e[0]))
+    return any(st.order_key(abs(l)) <= ek for l in c.lits
+               if abs(l) not in st.value and st.quantifier(abs(l)) == FORALL)
+
+
+def test_level0_pass_reaches_the_fixed_point_in_random_sessions(monkeypatch):
+    """When the level-0 pass of a solve ends stable, no clause it skipped
+    or scanned can still conflict or imply: the scan gate skips nothing the
+    fixed point needs."""
+    inner = SolverState.propagate
+    checked = 0
+
+    def checked_propagate(st, full=False):
+        nonlocal checked
+        event = inner(st, full)
+        if full and event is None:
+            for c in st.clauses + st.learned_clauses:
+                assert stable_clause(st, c), (c, st.trail)
+            checked += 1
+        return event
+
+    monkeypatch.setattr(SolverState, "propagate", checked_propagate)
+    for seed in range(28000, 29000):
+        rng, shadow, steps = random_session(seed, keep_learned=True)
+        s = shadow.solver
+        for _ in range(steps):
+            op = rng.random()
+            if op < 0.2:
+                shadow.push()
+            elif op < 0.3 and shadow.frames:
+                shadow.pop()
+            elif op < 0.7:
+                shadow.add_random_clause()
+            else:
+                blocks = s._state.prefix.blocks
+                if op < 0.8 and blocks and blocks[0].variables:
+                    v = rng.choice(sorted(blocks[0].variables))
+                    s.assume(v if rng.random() < 0.5 else -v)
+                s.solve()
+                shadow.after_solve()
+    assert checked > 400, checked
 
 
 def test_solve_core_worked_example():

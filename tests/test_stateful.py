@@ -3,7 +3,8 @@ adds clauses, assumes and solves on a retaining and a discarding Solver at
 once, and checks every verdict, and the sufficiency of every
 relevant_assumptions() answer, against eval_pcnf of the restricted formula.
 After every step it also checks that the solvers' stores hold nothing that
-outlived its frame.
+outlived its frame, and that the live occurrence lists and counters equal
+a build from scratch.
 
 The run is derandomized and bounded, so it is the same on every run.
 """
@@ -18,6 +19,15 @@ from incqbf import EXISTS, FORALL, Pcnf, Prefix, Solver
 from gen import restricted_verdict
 
 MAX_VARS = 8
+
+
+def occurrences(constraints):
+    """Literal -> the constraints holding it, in the order given."""
+    occ = {}
+    for c in constraints:
+        for l in c.lits:
+            occ.setdefault(l, []).append(c)
+    return occ
 
 
 class VerdictMachine(RuleBasedStateMachine):
@@ -144,6 +154,26 @@ class VerdictMachine(RuleBasedStateMachine):
             active = {0, *s._frames.active}
             for c in st_.clauses + st_.learned_clauses:
                 assert c.selector in active
+
+    @invariant()
+    def indexes_match_pools(self):
+        """No solve rebuilds the clause lists, so every edit must keep them:
+        each occurrence map equals a build from its pool, in pool order,
+        and between steps (empty trail) every counter is at rest."""
+        for s in self.solvers:
+            st_ = s._state
+            assert not st_.trail
+            assert st_.clause_occ == occurrences(st_.clauses)
+            assert st_.learned_occ == occurrences(st_.learned_clauses)
+            assert st_.cube_occ == occurrences(st_.cubes)
+            assert st_._cube_index == {c.lits: c for c in st_.cubes}
+            assert st_.n_sat_orig == 0
+            for c in st_.clauses + st_.learned_clauses:
+                assert c.nsat == 0
+            for c in st_.cubes:
+                assert c.nfalse == 0
+                assert c.nopen == sum(1 for l in c.lits
+                                      if st_.quantifier(abs(l)) == FORALL)
 
 
 VerdictMachine.TestCase.settings = settings(
