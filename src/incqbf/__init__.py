@@ -8,7 +8,7 @@ across formula edits, and single-shot assumptions.
 from .formula import (EXISTS, FORALL, Block, Pcnf, Prefix, UsageError,
                       normalize_clause)
 from .oracle import eval_pcnf
-from .qcdcl import Stats
+from .qcdcl import SolverTimeout, Stats
 from .qdimacs import ParseError
 from .qres import CLAUSE, CUBE, reduce_lits, resolve
 from .solver import SAT, UNSAT, Solver
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EXISTS", "FORALL", "SAT", "UNSAT", "CLAUSE", "CUBE",
     "Block", "Prefix", "Pcnf", "Solver", "Stats",
-    "UsageError", "ParseError",
+    "UsageError", "ParseError", "SolverTimeout",
     "normalize_clause",
     "reduce_lits", "resolve",
     "eval_pcnf",

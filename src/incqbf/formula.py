@@ -81,6 +81,19 @@ class Prefix:
         self.blocks[block_index].variables.append(vid)
         self._pos[vid] = block_index
 
+    def remove(self, vids) -> None:
+        """Drop the variables in vids and the blocks they leave empty.  The
+        other blocks keep their order and are never merged, so no two
+        surviving variables change their relative order."""
+        blocks = []
+        for blk in self.blocks:
+            kept = [v for v in blk.variables if v not in vids]
+            if kept or not blk.variables:
+                blk.variables = kept
+                blocks.append(blk)
+        self.blocks = blocks
+        self._reindex()
+
     def _reindex(self) -> None:
         self._pos = {}
         for i, blk in enumerate(self.blocks):
@@ -155,21 +168,3 @@ class Pcnf:
     def __repr__(self):
         return "Pcnf(%r, %r)" % (self.prefix.as_pairs(), self.clauses)
 
-
-def _compact_prefix(prefix: Prefix, keep: set[int]) -> tuple[Prefix, set[int]]:
-    """Prefix without the variables outside keep; empty blocks dropped and
-    adjacent same-quantifier blocks merged.  Returns (new prefix, removed ids)."""
-    removed = set()
-    new = Prefix()
-    for blk in prefix.blocks:
-        vs = [v for v in blk.variables if v in keep]
-        removed.update(v for v in blk.variables if v not in keep)
-        if not vs:
-            continue
-        if new.blocks and new.blocks[-1].quantifier == blk.quantifier:
-            i = len(new.blocks) - 1
-        else:
-            i = new.add_block(blk.quantifier)
-        for v in vs:
-            new.add_variable(i, v)
-    return new, removed

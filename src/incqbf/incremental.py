@@ -5,9 +5,9 @@ solve assumes false.  Popping disposes of a frame at once, so here that
 literal would always be false; a frame is kept only as an id in the
 selector tag (Constraint.selector) of each clause added under it, and the
 stored literals are the user's.  Popping drops the frame's clauses and the
-learned clauses tagged with it.  Variable compaction and learned-constraint
-maintenance wait for prepare_solve, because pending assumptions pin
-variables only then.
+learned clauses tagged with it.  Retiring unused variables and
+learned-constraint maintenance wait for prepare_solve, because pending
+assumptions pin variables only then.
 
 Frame ids grow in push order and are never reused, so the id alone orders
 frames: learning keeps the larger of two tags.
@@ -16,7 +16,7 @@ frames: learning keeps the larger of two tags.
 from __future__ import annotations
 
 from . import qres
-from .formula import EXISTS, FORALL, UsageError, _compact_prefix
+from .formula import EXISTS, FORALL, UsageError
 from .qcdcl import SolverState
 
 
@@ -28,8 +28,9 @@ class FrameStack:
         # ids of the active frames, in push (ascending id) order
         self.active: list[int] = []
         self.next_selector = 1
-        # original clauses added since the last solve and still enabled
-        self.added: list = []
+        # state.clauses[mark:] were added since the last solve and are
+        # still enabled: a frame's clauses end the pool
+        self.mark = 0
         self.popped_since_prepare = False
 
     # ---- stack operations ----
@@ -44,8 +45,8 @@ class FrameStack:
             raise UsageError("pop on an empty frame stack")
         selector = self.active.pop()
         self.popped_since_prepare = True
-        self.added = [c for c in self.added if c.selector != selector]
         self.garbage_collect(selector)
+        self.mark = min(self.mark, len(self.state.clauses))
 
     def add_clause(self, lits) -> None:
         """Register an original clause under the topmost active frame.
@@ -55,10 +56,9 @@ class FrameStack:
         """
         st = self.state
         selector = self.active[-1] if self.active else 0
-        c = st.register_clause(lits, selector=selector, learned=False)
+        st.register_clause(lits, selector=selector, learned=False)
         for l in lits:
             st.vars[abs(l)].ever_occurred = True
-        self.added.append(c)
 
     # ---- solve preparation ----
 
@@ -89,18 +89,20 @@ class FrameStack:
         if self.popped_since_prepare:
             self._deletion_cleanup()
             self.popped_since_prepare = False
-        if self.added or EXISTS in new:
+        if len(st.clauses) > self.mark or EXISTS in new:
             self._addition_recheck()
-            self.added = []
+        self.mark = len(st.clauses)
 
     def _deletion_cleanup(self) -> None:
-        """Compact the prefix after pops and repair stored constraints.
+        """Retire the variables pops left unused; repair stored constraints.
 
         A variable is deleted when no enabled original clause mentions it
         (it is no key of clause_occ), unless it was declared and never used
         or the coming solve assumes it; when none goes, nothing changes.
-        Cube and model literals over deleted variables are stripped, models
-        that then coincide are kept once, and merged blocks are unranked.
+        The prefix drops it in place and merges no blocks, so survivors keep
+        their order and clauses their implicant order.  Cube and model
+        literals over deleted variables are stripped, and models that then
+        coincide are kept once.
         Learned clauses need no repair: one holds only variables of the
         clauses it was derived from, each tagged no later than itself, and
         frames pop last-in first-out, so while it survives those clauses
@@ -114,13 +116,9 @@ class FrameStack:
                    and vid not in occ and -vid not in occ}
         if not removed:
             return
-        old = st.prefix
-        st.prefix, _ = _compact_prefix(old, st.vars.keys() - removed)
+        st.prefix.remove(removed)
         for vid in removed:
             del st.vars[vid]
-        st.unrank(v for blk in st.prefix.blocks
-                  if len({old.order_key(w) for w in blk.variables}) > 1
-                  for v in blk.variables)
         gone = removed | {-vid for vid in removed}
         new_cubes = []
         index = {}
@@ -145,13 +143,14 @@ class FrameStack:
         """Clause additions (and new existential assumptions) invalidate
         learned cubes wholesale: wipe the cube database and reseed it from the
         stored models that satisfy every added clause, dropping the others.
-        Clauses popped before the solve are not in self.added, and they left
-        the store at pop, so every surviving model satisfies every current
-        clause; each reseeded cube is the reduced implicant of its model."""
+        The added clauses are the pool past mark; popped ones left it at
+        pop, so every surviving model satisfies every current clause; each
+        reseeded cube is the reduced implicant of its model."""
         st = self.state
         st.wipe(qres.CUBE)
+        added = st.clauses[self.mark:]
         survivors = [m for m in st.models
-                     if all(not m.isdisjoint(c.lits) for c in self.added)]
+                     if all(not m.isdisjoint(c.lits) for c in added)]
         st.models.clear()
         st.models.extend(survivors)
         for m in survivors:

@@ -178,7 +178,6 @@ class SolverState:
         self.in_solve = False
         self.stats = Stats()
         self.final_lits: tuple[int, ...] | None = None
-        self.final_kind: str | None = None
 
     # ---- ordering protocol used by qres ----
 
@@ -608,9 +607,9 @@ class SolverState:
 
         Each clause caches its literals in that order (ranked, by a stable
         sort), so the choice is its first literal true in model.  Inserting
-        a block or a variable keeps every relative order; prepare_solve
-        unranks the variables whose assumed status changed or whose block
-        compaction merged.
+        a block or a variable keeps every relative order, and so does a
+        pop, which retires variables without merging blocks; prepare_solve
+        unranks only the variables whose assumed status changed.
         """
         def rank(l):
             v = abs(l)
@@ -684,15 +683,14 @@ class SolverState:
 
         assumptions is the level-0 list of user assumption literals, whose
         variables prepare_solve put in assumed.
-        Returns True for satisfiable.  The terminal constraint is stored in
-        final_lits/final_kind.
+        Returns True for satisfiable.  The literals of the terminal
+        constraint, a cube iff satisfiable, are stored in final_lits.
         """
         if self.in_solve:
             raise UsageError("solve_core is not reentrant")
         t0 = time.perf_counter()
         self.stats = Stats()
         self.final_lits = None
-        self.final_kind = None
         self.in_solve = True
         restart_limit = RESTART_FIRST
         since_restart = 0
@@ -740,7 +738,6 @@ class SolverState:
                     pool, rounds = self.cubes, self.cube_rounds
                 if blevel is None:
                     self.final_lits = c.lits
-                    self.final_kind = kind
                     verdict = kind == CUBE
                     break
                 self._bump_constraint(c)

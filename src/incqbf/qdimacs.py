@@ -10,6 +10,7 @@ existential block, so parsing never yields a non-closed formula.
 from __future__ import annotations
 
 import logging
+from itertools import groupby
 
 from .formula import EXISTS, FORALL, Pcnf, Prefix
 
@@ -102,12 +103,14 @@ def parse_file(path) -> Pcnf:
 
 
 def write(f: Pcnf) -> str:
-    """Serialize a Pcnf to QDIMACS text."""
+    """Serialize a Pcnf to QDIMACS text, in parse's normal form: one line
+    per run of nonempty blocks of one quantifier."""
     max_var = max(f.prefix.variables(), default=0)
     lines = ["p cnf %d %d" % (max_var, len(f.clauses))]
-    for blk in f.prefix.blocks:
-        if blk.variables:
-            lines.append("%s %s 0" % (blk.quantifier, " ".join(map(str, blk.variables))))
+    blocks = [blk for blk in f.prefix.blocks if blk.variables]
+    for quant, run in groupby(blocks, key=lambda blk: blk.quantifier):
+        vs = [v for blk in run for v in blk.variables]
+        lines.append("%s %s 0" % (quant, " ".join(map(str, vs))))
     for c in f.clauses:
         lines.append("%s 0" % " ".join(map(str, c)) if c else "0")
     return "\n".join(lines) + "\n"

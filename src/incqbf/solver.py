@@ -47,8 +47,8 @@ class Solver:
 
     def new_block(self, quantifier: str, position: int | None = None) -> int:
         """Open a quantifier block and return its position.  Appends by
-        default.  Positions can shift when pops retire variables, so hold on
-        to them only between structural edits."""
+        default.  Blocks never merge, but positions shift when pops empty an
+        outer block, so hold on to them only between structural edits."""
         return self._state.declare_block(quantifier, position)
 
     def add_variable(self, block: int, vid: int) -> None:

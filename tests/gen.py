@@ -9,7 +9,6 @@ import random
 
 from incqbf import (CLAUSE, CUBE, EXISTS, FORALL, Pcnf, Prefix, UsageError,
                     eval_pcnf)
-from incqbf.formula import _compact_prefix
 from incqbf.solver import Solver
 
 
@@ -208,7 +207,8 @@ def apply_assignment(f, assignment):
     if not new_clauses:
         return True
     occurring = {abs(l) for c in new_clauses for l in c}
-    new_prefix, _ = _compact_prefix(f.prefix, occurring)
+    new_prefix = f.prefix.copy()
+    new_prefix.remove(set(new_prefix.variables()) - occurring)
     out = Pcnf(new_prefix)
     out.clauses = new_clauses
     return out
@@ -299,11 +299,25 @@ class SessionShadow:
         return f
 
     def after_solve(self):
+        self.check_order()
         if self.popped_since:
             for v in self.vids:
                 if self.alive[v] and self.ever[v] and self.occ[v] == 0:
                     self.alive[v] = False
             self.popped_since = False
+
+    def check_order(self):
+        """Fail when an edit reordered two surviving variables: over
+        Prefix.order_key, each pair keeps the strict order or the tie of
+        the blocks they were declared in."""
+        prefix = self.solver._state.prefix
+        block = {v: i for i, (_, vs) in enumerate(self.blocks) for v in vs}
+        live = [v for v in self.vids if prefix.declared(v)]
+        for v in live:
+            for w in live:
+                assert ((block[v] < block[w])
+                        == (prefix.order_key(v) < prefix.order_key(w))), \
+                    (v, w, prefix)
 
 
 def random_session(seed, keep_learned=True, max_vars=10, max_steps=40):

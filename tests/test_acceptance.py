@@ -10,7 +10,6 @@ import time
 
 from incqbf import (CLAUSE, CUBE, EXISTS, FORALL, Pcnf, Prefix, Solver,
                     eval_pcnf, resolve)
-from incqbf.formula import _compact_prefix
 from incqbf.qcdcl import SolverState
 from incqbf.qres import reduce_lits
 from incqbf.cli import run_bench
@@ -226,8 +225,9 @@ def test_acceptance_cube_maintenance_identity():
         n_del = rng.randint(0, len(declared))
         dels = set(rng.sample(declared, n_del))
         keep = {v for v in declared if v not in dels}
-        new_prefix, removed = _compact_prefix(f.prefix, keep)
-        assert removed == dels
+        new_prefix = f.prefix.copy()
+        new_prefix.remove(dels)
+        assert set(new_prefix.variables()) == keep
         clean = tuple(l for l in cube if abs(l) not in dels)
         via_old = reduce_lits(f.prefix, cube, CUBE)
         via_old_clean = tuple(l for l in via_old if abs(l) not in dels)

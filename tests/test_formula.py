@@ -1,4 +1,4 @@
-"""Prefix, clause normalization, prefix compaction, and assignment
+"""Prefix, clause normalization, variable removal, and assignment
 application (tests/gen.py)."""
 
 import random
@@ -7,7 +7,6 @@ import pytest
 
 from incqbf import (EXISTS, FORALL, Pcnf, Prefix, UsageError, eval_pcnf,
                     normalize_clause)
-from incqbf.formula import _compact_prefix
 
 from gen import apply_assignment, as_assignment, random_pcnf
 
@@ -128,13 +127,16 @@ def test_pcnf_adopt_inserts_existential_block():
     assert f2.prefix.as_pairs() == [(EXISTS, (1, 2))]
 
 
-def test_compact_drops_unused_and_merges():
-    p = Prefix([(EXISTS, (1, 2)), (FORALL, (3,)), (EXISTS, (4,))])
-    new, removed = _compact_prefix(p, {1, 4})
-    assert removed == {2, 3}
-    # the universal block emptied out, adjacent existential blocks merge
-    assert new.as_pairs() == [(EXISTS, (1, 4))]
-    # original untouched
+def test_remove_drops_emptied_blocks_and_merges_none():
+    p = Prefix([(EXISTS, (1, 2)), (FORALL, (3,)), (EXISTS, (4,)), (FORALL, ())])
+    q = p.copy()
+    q.remove({2, 3})
+    # the universal block emptied out and went; the existential blocks it
+    # separated stay apart, and the block that was empty before stays
+    assert q.as_pairs() == [(EXISTS, (1,)), (EXISTS, (4,)), (FORALL, ())]
+    assert [q.order_key(v) for v in (1, 4)] == [0, 1]
+    assert not q.declared(2) and not q.declared(3)
+    # the copy's source is untouched
     assert p.num_variables() == 4
 
 

@@ -129,9 +129,9 @@ def solver_over(blocks, clauses):
     return s
 
 
-def test_implicant_order_follows_a_block_merge():
-    # inner existential 3 outranks 1 until the pop retires universal 2 and
-    # the two existential blocks merge: then they tie, and 1 comes first
+def test_implicant_order_survives_a_pop():
+    # inner existential 3 outranks 1; the pop retires universal 2, and the
+    # two existential blocks stay apart, so 3 still comes first
     s = solver_over([(EXISTS, (1,)), (FORALL, (2,)), (EXISTS, (3,))],
                     [(1, 3)])
     s.push()
@@ -141,9 +141,9 @@ def test_implicant_order_follows_a_block_merge():
     assert st.implicant(frozenset({1, -2, 3})) == {3}
     s.pop()
     assert s.solve() is True
-    assert st.prefix.as_pairs() == [(EXISTS, (1, 3))]
+    assert st.prefix.as_pairs() == [(EXISTS, (1,)), (EXISTS, (3,))]
     model = frozenset({1, 3})
-    assert st.implicant(model) == greedy_implicant(st, model) == {1}
+    assert st.implicant(model) == greedy_implicant(st, model) == {3}
 
 
 def test_implicant_order_follows_a_newly_assumed_existential():

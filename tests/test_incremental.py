@@ -88,7 +88,7 @@ def test_pop_retires_unused_variables_and_drops_pending():
     assert st.vars[1].ever_occurred
     s.pop()
     # the popped clause no longer waits for the addition recheck
-    assert [c.lits for c in s._frames.added] == [(2,)]
+    assert [c.lits for c in st.clauses[s._frames.mark:]] == [(2,)]
     with pytest.raises(UsageError):
         s.pop()
     assert s.solve() is True

@@ -359,7 +359,6 @@ def test_solve_core_worked_example():
     for c in ((8, -5), (2, -6), (-1, 4), (-8, -4), (1, 6), (4, 5)):
         st.register_clause(c)
     assert st.solve_core([]) is True
-    assert st.final_kind == CUBE
     assert st.final_lits == ()
     assert not st.trail and st.level == 0
     d = st.stats.as_dict()
@@ -374,7 +373,6 @@ def test_solve_core_worked_example_blocked():
     for c in ((8, -5), (2, -6), (-1, 4), (-8, -4), (1, 6), (4, 5), (-2, -4)):
         st.register_clause(c)
     assert st.solve_core([]) is False
-    assert st.final_kind == CLAUSE
     assert st.final_lits == ()
     assert st.stats.conflicts > 0
 

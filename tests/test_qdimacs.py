@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from incqbf import EXISTS, FORALL, ParseError
+from incqbf import EXISTS, FORALL, ParseError, Pcnf, Prefix
 from incqbf.qdimacs import parse, parse_file, write
 
 from gen import random_pcnf
@@ -52,6 +52,16 @@ def test_adjacent_blocks_merge():
     f = parse("p cnf 4 1\ne 1 0\ne 2 0\na 3 0\ne 4 0\n1 4 0\n")
     assert f.prefix.as_pairs() == [(EXISTS, (1, 2)), (FORALL, (3,)),
                                    (EXISTS, (4,))]
+
+
+def test_write_joins_adjacent_blocks_of_one_quantifier():
+    # new_block makes such runs and pops leave them; the empty block
+    # between the universals is not written, so they join too
+    f = Pcnf(Prefix([(EXISTS, (1,)), (EXISTS, (2,)), (FORALL, (3,)),
+                     (EXISTS, ()), (FORALL, (4,))]))
+    text = write(f)
+    assert text == "p cnf 4 0\ne 1 2 0\na 3 4 0\n"
+    assert parse(text).prefix.as_pairs() == [(EXISTS, (1, 2)), (FORALL, (3, 4))]
 
 
 def test_free_variables_adopted():

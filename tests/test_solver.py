@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from incqbf import (EXISTS, FORALL, Pcnf, Prefix, Solver, UsageError,
-                    eval_pcnf)
+from incqbf import (EXISTS, FORALL, Pcnf, Prefix, Solver, SolverTimeout,
+                    UsageError, eval_pcnf)
 from incqbf.cli import from_pcnf
-from incqbf.qcdcl import SolverState, SolverTimeout
+from incqbf.qcdcl import SolverState
 from incqbf.qdimacs import parse
 
 from gen import build_solver, random_pcnf, restricted_verdict
