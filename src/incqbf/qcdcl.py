@@ -8,15 +8,16 @@ consumed by the qres calculus: each variable assumed in the current solve
 sits in front of every block, so reduction never drops an assumption literal
 that a constraint depends on.
 
-Propagation is a fixed point of five rules: unit clauses after universal
-reduction imply their existential literal, unit cubes after existential
-reduction imply the negation of their universal literal, fully falsified
-clauses raise a conflict, fully satisfied cubes raise a solution, and a trail
-satisfying every original clause raises a model solution.  A model solution
-seeds its initial cube from an implicant of the original clauses, one true
-literal per clause, not from the whole trail (Giunchiglia, Narizzano &
-Tacchella, JAIR 2006), so the search need not enumerate every universal
-assignment the trail happens to fix.
+Propagation is a fixed point of five rules.  Four are one scan, written once
+for both kinds (_scanner): a clause with no true literal implies its one open
+existential if every open universal lies right of it, and raises a conflict
+once no existential is open; a cube with no false literal, dually, implies
+the negation of its one open universal, and raises a solution once no
+universal is open (reduction removes the open rest).  The fifth: a trail
+satisfying every original clause raises a model solution, whose initial cube
+is an implicant of the original clauses, one true literal per clause, not the
+whole trail (Giunchiglia, Narizzano & Tacchella, JAIR 2006), so the search
+need not enumerate every universal assignment the trail happens to fix.
 
 Each pool has live literal-indexed occurrence lists (clause_occ, learned_occ,
 cube_occ) in pool order: registration appends, a pop filters only the lists
@@ -142,6 +143,39 @@ class _Var:
         self.ever_occurred = False
         self.activity = 0.0
         self.phase = False
+
+
+def _scanner(own_q: str, event: str, sign: int):
+    """The propagation rule of one kind, as a SolverState method (self, c).
+
+    own_q is the quantifier whose literals the kind keeps under reduction:
+    existential for clauses, universal for cubes.  The scan runs only on a
+    constraint that no assigned literal settles (none true in a clause, none
+    false in a cube), so only its open literals count.  With no open own_q
+    literal, reduction removes the open rest and the scan returns event.
+    With one, l, left of every open literal of the other quantifier, it
+    implies sign * l: l itself in a clause, its negation in a cube."""
+
+    def scan(self, c: Constraint):
+        own = []
+        other = []
+        for l in c.lits:
+            v = abs(l)
+            if v not in self.value:
+                if self.vars[v].quant == own_q:
+                    own.append(l)
+                else:
+                    other.append(l)
+        if not own:
+            return event
+        if len(own) == 1:
+            l = own[0]
+            k = self.order_key(abs(l))
+            if all(self.order_key(abs(x)) > k for x in other):
+                self._imply(sign * l, c)
+        return None
+
+    return scan
 
 
 class SolverState:
@@ -381,45 +415,9 @@ class SolverState:
         self.stats.propagations += 1
         self.assign(lit, c)
 
-    def _scan_clause(self, c: Constraint):
-        """Returns "conflict" when c is falsified modulo universal reduction;
-        may imply a unit existential literal.  Called only when c.nsat == 0."""
-        un_e = []
-        un_u = []
-        for l in c.lits:
-            if abs(l) not in self.value:
-                if self.quantifier(abs(l)) == EXISTS:
-                    un_e.append(l)
-                else:
-                    un_u.append(l)
-        if not un_e:
-            return "conflict"
-        if len(un_e) == 1:
-            e = un_e[0]
-            ek = self.order_key(abs(e))
-            if all(self.order_key(abs(k)) > ek for k in un_u):
-                self._imply(e, c)
-        return None
-
-    def _scan_cube(self, c: Constraint):
-        """Returns "solution" when c is satisfied; may imply the negation of a
-        unit universal literal.  Called only when c.nfalse == 0."""
-        un_e = []
-        un_u = []
-        for l in c.lits:
-            if abs(l) not in self.value:
-                if self.quantifier(abs(l)) == EXISTS:
-                    un_e.append(l)
-                else:
-                    un_u.append(l)
-        if not un_e and not un_u:
-            return "solution"
-        if len(un_u) == 1:
-            k = un_u[0]
-            kk = self.order_key(abs(k))
-            if all(self.order_key(abs(x)) > kk for x in un_e):
-                self._imply(-k, c)
-        return None
+    # one rule under two names, which propagate and perfbench/tracing.py use
+    _scan_clause = _scanner(EXISTS, "conflict", 1)
+    _scan_cube = _scanner(FORALL, "solution", -1)
 
     def propagate(self, full: bool = False):
         """Run rules (a)-(e) to a fixed point.
@@ -495,7 +493,7 @@ class SolverState:
     def _bump_constraint(self, c: Constraint) -> None:
         c.activity += self.cla_inc
         if c.activity > 1e100:
-            for pool in (self.learned_clauses, self.cubes):
+            for pool in (self.clauses, self.learned_clauses, self.cubes):
                 for d in pool:
                     d.activity *= 1e-100
             self.cla_inc *= 1e-100

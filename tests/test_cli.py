@@ -78,6 +78,7 @@ def test_run_script_errors():
         ("e -1 0\n", 1, "positive"),
         ("e 1\npush now\n", 2, "push takes no arguments"),
         ("e 1\npop\n", 2, "pop on an empty frame stack"),
+        ("e 1\npush\npop extra\n", 3, "pop takes no arguments"),
         ("e 1\nsolve extra\n", 2, "solve takes no arguments"),
         ("e 1\nassume\n", 2, "assume needs a literal"),
         ("e 1 2\nadd 1 0 2 0\n", 2, "literal 0 inside"),
@@ -225,6 +226,38 @@ def test_cmd_bench_table_and_json(tmp_path, capsys):
     report = json.loads(out_json.read_text())
     assert report["direction"] == "reverse"
     assert report["totals"]["keep"]["assignments"] > 0
+
+
+def test_cmd_bench_timeout(tmp_path, capsys, monkeypatch):
+    """An instance whose solve times out keeps the verdicts it reached,
+    marked (timeout), and stays out of the totals and the TOTAL row."""
+    (tmp_path / "a.qdimacs").write_text(SAT_TEXT)
+    (tmp_path / "b.qdimacs").write_text(UNSAT_TEXT)
+    calls = 0
+
+    class Stuck(cli.Solver):
+        def solve(self, timeout_s=None):
+            nonlocal calls
+            calls += 1
+            if calls == 4:  # the second slice of b.qdimacs
+                raise SolverTimeout("solve exceeded %.3f s" % timeout_s)
+            return super().solve(timeout_s=timeout_s)
+
+    monkeypatch.setattr(cli, "Solver", Stuck)
+    out_json = tmp_path / "report.json"
+    assert main(["bench", str(tmp_path), "--slices", "2", "--mode", "keep",
+                 "--timeout-s", "5", "--stats-json", str(out_json)]) == 0
+    report = json.loads(out_json.read_text())
+    a, b = (entry["keep"] for entry in report["instances"])
+    assert not a["timed_out"] and len(a["verdicts"]) == 2
+    assert b["timed_out"] and len(b["verdicts"]) == 1
+    assert b["totals"]["assignments"] > 0
+    assert report["totals"]["keep"] == a["totals"]
+    rows = {line.split()[0]: line.split()
+            for line in capsys.readouterr().out.splitlines()[1:]}
+    assert rows["b.qdimacs"][2:4] == [b["verdicts"], "(timeout)"]
+    assert rows["a.qdimacs"][2] == a["verdicts"]
+    assert rows["TOTAL"][2] == str(a["totals"]["assignments"])
 
 
 def test_cmd_bench_single_mode(tmp_path, capsys):

@@ -109,6 +109,61 @@ def test_empty_cube_is_instant_solution():
     assert event == ("solution", cube)
 
 
+def test_cube_scan_is_the_exact_dual_of_the_clause_scan():
+    """Under a trail that falsifies none of a cube's literals, _scan_cube
+    gives the event and the implied literal that _scan_clause gives on the
+    mirror: every literal negated, every quantifier swapped, and the trail
+    negated.  The implied literal is the same on both sides: a cube sets its
+    unit universal u false, and the mirror clause sets its literal -u true.
+    A cube with an open existential and no open universal is a solution, as
+    a clause with an open universal and no open existential is a conflict.
+    Cubes include long-distance pairs of an open existential."""
+    rng = random.Random(2929)
+    swap = {EXISTS: FORALL, FORALL: EXISTS}
+    dual = {None: None, "conflict": "solution"}
+
+    def scan(kind, pairs, lits, trail):
+        st = state(pairs)
+        if kind == CUBE:
+            c, run = st.register_cube(lits), st._scan_cube
+        else:
+            c, run = st.register_clause(lits), st._scan_clause
+        for l in trail:
+            force_decision(st, l)
+        before = len(st.trail)
+        return run(c), st.trail[before:]
+
+    for _ in range(3000):
+        first = rng.choice((EXISTS, FORALL))
+        pairs, vid = [], 1
+        for i in range(rng.randint(1, 4)):
+            n = rng.randint(1, 3)
+            pairs.append((first if i % 2 == 0 else swap[first],
+                          tuple(range(vid, vid + n))))
+            vid += n
+        quant = {v: q for q, vs in pairs for v in vs}
+        vids = list(quant)
+        used = rng.sample(vids, rng.randint(0, len(vids)))
+        cube = [rng.choice((v, -v)) for v in used]
+        # a partial trail that falsifies no cube literal (the scan's gate)
+        trail = [l for l in cube if rng.random() < 0.5]
+        trail += [rng.choice((v, -v)) for v in vids
+                  if v not in used and rng.random() < 0.5]
+        rng.shuffle(trail)
+        assigned = {abs(l) for l in trail}
+        spare = [v for v in vids if quant[v] == EXISTS
+                 and v not in used and v not in assigned]
+        if spare and rng.random() < 0.2:
+            v = rng.choice(spare)
+            cube += [v, -v]
+        event, implied = scan(CUBE, pairs, cube, trail)
+        m_event, m_implied = scan(
+            CLAUSE, [(swap[q], vs) for q, vs in pairs],
+            [-l for l in cube], [-l for l in trail])
+        assert (event, implied) == (dual[m_event], m_implied), \
+            (pairs, cube, trail)
+
+
 def test_decide_policy():
     st = state([(EXISTS, (1, 2)), (FORALL, (3,))])
     st.register_clause((1, 2, 3))
@@ -383,6 +438,12 @@ def test_solve_core_not_reentrant():
     st.in_solve = True
     with pytest.raises(UsageError):
         st.solve_core([])
+    # nor can the prefix change mid-solve
+    with pytest.raises(UsageError, match="mid-solve"):
+        st.declare_block(FORALL)
+    with pytest.raises(UsageError, match="mid-solve"):
+        st.declare_variable(0, 2)
+    assert len(st.prefix.blocks) == 1 and 2 not in st.vars
 
 
 def test_contradictory_core_assumptions():
@@ -390,6 +451,22 @@ def test_contradictory_core_assumptions():
     st.register_clause((1, 2))
     with pytest.raises(UsageError):
         st.solve_core([1, -1])
+
+
+def test_activity_rescale_covers_original_clauses():
+    """Analysis bumps original clauses too (conflict sources, antecedents),
+    so the rescale must shrink them with the learned pools.  Otherwise an
+    original clause stays above the limit, and each later bump of it
+    divides cla_inc by 1e100 again."""
+    st = state([(EXISTS, (1, 2))])
+    c = st.register_clause((1, 2))
+    st.cla_inc = 1e100
+    learned = st.register_clause((1, -2), learned=True)
+    for _ in range(4):
+        st._bump_constraint(c)
+    assert st.cla_inc == pytest.approx(1.0)
+    assert c.activity == pytest.approx(4.0)
+    assert learned.activity == pytest.approx(1.0)
 
 
 def test_restarts_fire_and_stay_correct(monkeypatch):
@@ -524,7 +601,7 @@ BENCH_FORWARD = (
 # (assignments, backtracks, decisions, propagations, conflicts, solutions,
 # restarts) summed over the corpus, per direction and mode
 BENCH_COUNTS = {
-    ("forward", "keep"): (1987, 59, 974, 1013, 134, 165, 0),
+    ("forward", "keep"): (1985, 59, 974, 1011, 134, 165, 0),
     ("forward", "discard"): (2835, 110, 1474, 1361, 161, 189, 0),
     ("reverse", "keep"): (713, 20, 168, 545, 95, 141, 0),
     ("reverse", "discard"): (2248, 75, 1147, 1101, 130, 161, 0),

@@ -54,6 +54,18 @@ def test_add_clause_drops_tautologies():
     assert s.solve() is True
 
 
+def test_prefix_edits_reject_missing_blocks():
+    s = three_level()
+    for position in (-1, 4):
+        with pytest.raises(UsageError, match="out of range"):
+            s.new_block(EXISTS, position)
+    with pytest.raises(UsageError, match="no block"):
+        s.add_variable(3, 4)
+    assert s.new_block(FORALL, 3) == 3
+    s.add_variable(3, 4)
+    assert s._state.quantifier(4) == FORALL
+
+
 def test_assume_validation():
     s = three_level()
     s.add_clause((1, 2, 3))
