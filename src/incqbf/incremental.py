@@ -94,15 +94,16 @@ class FrameStack:
         self.mark = len(st.clauses)
 
     def _deletion_cleanup(self) -> None:
-        """Retire the variables pops left unused; repair stored constraints.
+        """Retire the variables pops left unused, with the cubes over them.
 
         A variable is deleted when no enabled original clause mentions it
         (it is no key of clause_occ), unless it was declared and never used
         or the coming solve assumes it; when none goes, nothing changes.
         The prefix drops it in place and merges no blocks, so survivors keep
-        their order and clauses their implicant order.  Cube and model
-        literals over deleted variables are stripped, and models that then
-        coincide are kept once.
+        their order and clauses their implicant order.  Every cube over a
+        deleted variable goes whole (rebuild_indexes), so no stored
+        constraint is ever rewritten.  Model literals over deleted variables
+        are stripped, and models that then coincide are kept once.
         Learned clauses need no repair: one holds only variables of the
         clauses it was derived from, each tagged no later than itself, and
         frames pop last-in first-out, so while it survives those clauses
@@ -120,24 +121,11 @@ class FrameStack:
         for vid in removed:
             del st.vars[vid]
         gone = removed | {-vid for vid in removed}
-        new_cubes = []
-        index = {}
-        for c in st.cubes:
-            lits = c.lits
-            if not gone.isdisjoint(lits):
-                lits = tuple(l for l in lits if l not in gone)
-            if lits in index:
-                index[lits].activity = max(index[lits].activity, c.activity)
-                continue
-            c.lits = lits
-            index[lits] = c
-            new_cubes.append(c)
-        st.cubes = new_cubes
+        st.rebuild_indexes(gone)
         models = dict.fromkeys(m if gone.isdisjoint(m) else m - gone
                                for m in st.models)
         st.models.clear()
         st.models.extend(models)
-        st.rebuild_indexes()
 
     def _addition_recheck(self) -> None:
         """Clause additions (and new existential assumptions) invalidate

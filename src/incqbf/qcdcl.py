@@ -20,10 +20,14 @@ whole trail (Giunchiglia, Narizzano & Tacchella, JAIR 2006), so the search
 need not enumerate every universal assignment the trail happens to fix.
 
 Each pool has live literal-indexed occurrence lists (clause_occ, learned_occ,
-cube_occ) in pool order: registration appends, a pop filters only the lists
-of the dropped clauses' literals, a wipe empties them, and _reduce_db
-rebuilds the reduced pool's.  Propagation walks original clauses before
-learned ones, so the search is the same whatever edits came before a solve.
+cube_occ) in pool order: registration appends, and a wipe empties them.  A
+pop takes its original clauses off the back of their lists; every other
+removal of learned clauses or cubes (the pop's learned clauses, _reduce_db,
+the cubes over a retired variable) goes through drop, which filters only
+the lists of the dropped constraints' literals.  No stored constraint's
+literals ever change, so no counter is ever recounted.  Propagation walks
+original clauses before learned ones, so the search is the same whatever
+edits came before a solve.
 Both kinds are counter-gated: assign and _unassign_top keep nsat (satisfied
 literals) on every clause, and nfalse (falsified literals) and nopen
 (unassigned universal literals) on every cube.  A clause is scanned only
@@ -101,11 +105,13 @@ class Constraint:
     lits.  The counters belong to the trail: nsat (clauses only) counts the
     currently satisfied literals; nfalse and nopen (cubes only) count the
     currently falsified literals and the still unassigned universal
-    literals.  A constraint dropped by database reduction simply leaves
-    every list that held it; there is no tombstone.  Two caches belong to
-    clauses, None until first used: nexist counts the existential literals
-    (set at the clause's first level-0 pass), and ranked holds an original
-    clause's literals in implicant order (see SolverState.implicant).
+    literals.  lits never change after registration: a constraint that
+    no longer fits the formula is dropped (SolverState.drop), leaving every
+    list that held it, never rewritten; there is no tombstone.  Two caches
+    belong to clauses, None until first used: nexist counts the
+    existential literals (set at the clause's first level-0 pass), and
+    ranked holds an original clause's literals in implicant order (see
+    SolverState.implicant).
     """
 
     __slots__ = ("lits", "cid", "activity", "selector", "nsat", "nfalse",
@@ -124,15 +130,6 @@ class Constraint:
 
     def __repr__(self):
         return "Constraint(%r, cid=%d)" % (list(self.lits), self.cid)
-
-
-def _occurrences(constraints) -> dict[int, list[Constraint]]:
-    """Literal -> the constraints holding it, in the order given."""
-    occ: dict[int, list[Constraint]] = {}
-    for c in constraints:
-        for l in c.lits:
-            occ.setdefault(l, []).append(c)
-    return occ
 
 
 class _Var:
@@ -236,8 +233,6 @@ class SolverState:
     def declare_variable(self, block_position: int, vid: int) -> None:
         if self.in_solve:
             raise UsageError("cannot edit the prefix mid-solve")
-        if vid in self.vars:
-            raise UsageError("variable %d already declared" % vid)
         self.prefix.add_variable(block_position, vid)
         self.vars[vid] = _Var(self.prefix.blocks[block_position].quantifier)
 
@@ -296,17 +291,31 @@ class SolverState:
                 if not lst:
                     del occ[l]
         del clauses[i:]
-        pool, occ = self.learned_clauses, self.learned_occ
-        gone = [c for c in pool if c.selector == selector]
+        self.drop(CLAUSE, [c for c in self.learned_clauses
+                           if c.selector == selector])
+
+    def drop(self, kind: str, gone) -> None:
+        """Remove the constraints in gone from the learned clauses or the
+        cubes.  Only the occurrence lists of their literals are filtered,
+        so every list keeps its pool order; empty lists go."""
+        gone = set(gone)
         if not gone:
             return
+        if kind == CLAUSE:
+            self.learned_clauses = [c for c in self.learned_clauses
+                                    if c not in gone]
+            occ = self.learned_occ
+        else:
+            self.cubes = [c for c in self.cubes if c not in gone]
+            occ = self.cube_occ
+            for c in gone:
+                del self._cube_index[c.lits]
         for l in {l for c in gone for l in c.lits}:
-            kept = [c for c in occ[l] if c.selector != selector]
+            kept = [c for c in occ[l] if c not in gone]
             if kept:
                 occ[l] = kept
             else:
                 del occ[l]
-        self.learned_clauses = [c for c in pool if c.selector != selector]
 
     def unrank(self, vids) -> None:
         """Forget the implicant order of every original clause over one of
@@ -328,17 +337,12 @@ class SolverState:
             self.cube_occ = {}
             self._cube_index = {}
 
-    def rebuild_indexes(self) -> None:
-        """Rebuild the cube side after _deletion_cleanup stripped variables
-        from the cubes: each cube's nopen, cube_occ and _cube_index.  Only
-        valid with an empty trail, where unwind has already brought nfalse
-        back to zero.  The clause side needs no rebuild: no clause holds a
-        stripped variable."""
-        assert not self.trail
-        for c in self.cubes:
-            c.nopen = sum(1 for l in c.lits if self.vars[abs(l)].quant == FORALL)
-        self.cube_occ = _occurrences(self.cubes)
-        self._cube_index = {c.lits: c for c in self.cubes}
+    def rebuild_indexes(self, lits) -> None:
+        """Drop every cube holding one of lits, the literals of the
+        variables _deletion_cleanup retires.  It keeps its old name because
+        perfbench/tracing.py times the call under it."""
+        occ = self.cube_occ
+        self.drop(CUBE, {c for l in lits for c in occ.get(l, ())})
 
     # ---- trail ----
 
@@ -648,31 +652,18 @@ class SolverState:
     # ---- learned database reduction ----
 
     def _reduce_db(self, kind: str) -> None:
-        """Drop the less active unlocked half of one learned pool, then
-        rebuild that kind's occurrence lists from what is kept.  The lists
-        keep the pools' cid order, so propagation still meets the kept
-        constraints in the same sequence."""
+        """Drop the less active unlocked half of one learned pool (see
+        drop): the kept constraints stay in their pool's order, and so
+        propagation meets them in the same sequence."""
         pool = self.learned_clauses if kind == CLAUSE else self.cubes
-        locked = {id(r) for r in self.reason.values() if isinstance(r, Constraint)}
-        ranked = sorted(pool, key=lambda c: (c.activity, -c.cid))
-        to_drop = len(pool) // 2
-        kept = []
-        for c in ranked:
-            if to_drop > 0 and id(c) not in locked:
-                if kind == CUBE:
-                    self._cube_index.pop(c.lits, None)
-                to_drop -= 1
-            else:
-                kept.append(c)
-        kept.sort(key=lambda c: c.cid)
+        locked = {r for r in self.reason.values() if isinstance(r, Constraint)}
+        unlocked = [c for c in sorted(pool, key=lambda c: (c.activity, -c.cid))
+                    if c not in locked]
+        self.drop(kind, unlocked[:len(pool) // 2])
         if kind == CLAUSE:
-            self.learned_clauses = kept
             self.clause_rounds += 1
-            self.learned_occ = _occurrences(kept)
         else:
-            self.cubes = kept
             self.cube_rounds += 1
-            self.cube_occ = _occurrences(kept)
 
     # ---- main search ----
 

@@ -12,6 +12,16 @@ from incqbf import (CLAUSE, CUBE, EXISTS, FORALL, Pcnf, Prefix, UsageError,
 from incqbf.solver import Solver
 
 
+def occurrences(constraints):
+    """Literal -> the constraints holding it, in the order given: what a
+    live occurrence list must equal."""
+    occ = {}
+    for c in constraints:
+        for l in c.lits:
+            occ.setdefault(l, []).append(c)
+    return occ
+
+
 def random_pcnf(rng, max_vars=12, max_blocks=4, max_clauses=30,
                 min_vars=1, min_clauses=0, max_width=5):
     """Random closed PCNF with an alternating prefix."""

@@ -6,7 +6,7 @@ import pytest
 
 from incqbf import (CUBE, EXISTS, FORALL, Solver, UsageError, eval_pcnf)
 
-from gen import build_solver, random_session
+from gen import build_solver, occurrences, random_session
 
 
 def audit_selectors(s, all_framed):
@@ -142,7 +142,7 @@ def test_readoption_makes_fresh_outermost_existential():
     assert s.solve() is True
 
 
-def test_deletion_cleanup_repairs_stored_constraints():
+def test_deletion_cleanup_drops_cubes_over_retired_variables():
     s = Solver()
     b = s.new_block(EXISTS)
     s.add_variable(b, 1)
@@ -165,15 +165,18 @@ def test_deletion_cleanup_repairs_stored_constraints():
     c2 = st.register_cube((1, -2, 3))
     c1.activity = 5.0
     c2.activity = 9.0
+    before = (c1.lits, c1.activity, c1.nsat, c1.nfalse, c1.nopen)
     keep_taut = st.register_clause((1,), selector=0, learned=True)
     drop_sel = st.register_clause((4,), selector=sel, learned=True)
     s.pop()
     s._frames.prepare_solve(True, ())
     assert 3 not in st.vars
     assert st.prefix.as_pairs() == [(EXISTS, (1, 4)), (FORALL, (2,))]
-    # the two cubes collapse after stripping, max activity wins
-    assert [c.lits for c in st.cubes] == [(1, -2)]
-    assert st.cubes[0].activity == 9.0
+    # the cube over 3 goes whole; the other is untouched, not merged
+    assert st.cubes == [c1]
+    assert (c1.lits, c1.activity, c1.nsat, c1.nfalse, c1.nopen) == before
+    assert st.cube_occ == occurrences(st.cubes)
+    assert st._cube_index == {c.lits: c for c in st.cubes}
     assert list(st.models) == [frozenset({1, -2})]
     assert keep_taut in st.learned_clauses
     assert drop_sel not in st.learned_clauses

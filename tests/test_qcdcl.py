@@ -9,8 +9,8 @@ from incqbf import CLAUSE, CUBE, EXISTS, FORALL, Solver, UsageError, eval_pcnf
 from incqbf import cli, qcdcl
 from incqbf.qcdcl import DECISION, SolverState, SolverTimeout
 
-from gen import (bench_instance, build_solver, check_redundant, random_pcnf,
-                 random_session)
+from gen import (bench_instance, build_solver, check_redundant, occurrences,
+                 random_pcnf, random_session)
 
 
 def state(pairs):
@@ -234,14 +234,6 @@ def assert_cube_counters(st):
     for c in st.cubes:
         assert (c.nfalse, c.nopen) == cube_counters(st, c), (c, st.trail)
     return len(st.cubes)
-
-
-def occurrences(constraints):
-    occ = {}
-    for c in constraints:
-        for l in c.lits:
-            occ.setdefault(l, []).append(c)
-    return occ
 
 
 def assert_indexes(st):

@@ -3,8 +3,9 @@ adds clauses, assumes and solves on a retaining and a discarding Solver at
 once, and checks every verdict, and the sufficiency of every
 relevant_assumptions() answer, against eval_pcnf of the restricted formula.
 After every step it also checks that the solvers' stores hold nothing that
-outlived its frame, and that the live occurrence lists and counters equal
-a build from scratch.
+outlived its frame, that no stored learned clause or cube changed its
+literals, and that the live occurrence lists and counters equal a build
+from scratch.
 
 The run is derandomized and bounded, so it is the same on every run.
 """
@@ -16,18 +17,9 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 
 from incqbf import EXISTS, FORALL, Pcnf, Prefix, Solver
 
-from gen import restricted_verdict
+from gen import occurrences, restricted_verdict
 
 MAX_VARS = 8
-
-
-def occurrences(constraints):
-    """Literal -> the constraints holding it, in the order given."""
-    occ = {}
-    for c in constraints:
-        for l in c.lits:
-            occ.setdefault(l, []).append(c)
-    return occ
 
 
 class VerdictMachine(RuleBasedStateMachine):
@@ -57,6 +49,8 @@ class VerdictMachine(RuleBasedStateMachine):
                     s.add_variable(b, v)
         self.frames = [[]]
         self.pending = []
+        # per solver: learned clause or cube -> its literals when first seen
+        self.registered = tuple({} for _ in self.solvers)
 
     def live(self):
         st_ = self.solvers[0]._state
@@ -154,6 +148,17 @@ class VerdictMachine(RuleBasedStateMachine):
             active = {0, *s._frames.active}
             for c in st_.clauses + st_.learned_clauses:
                 assert c.selector in active
+
+    @invariant()
+    def stored_literals_never_change(self):
+        """Every learned clause and cube keeps the literals it was
+        registered with for as long as it stays stored.  Constraint hashes
+        by identity, so a dropped one stays a key and no new record can
+        take its place."""
+        for s, registered in zip(self.solvers, self.registered):
+            st_ = s._state
+            for c in st_.learned_clauses + st_.cubes:
+                assert registered.setdefault(c, c.lits) == c.lits, c
 
     @invariant()
     def indexes_match_pools(self):
