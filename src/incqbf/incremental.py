@@ -7,7 +7,7 @@ selector tag (Constraint.selector) of each clause added under it, and the
 stored literals are the user's.  Popping drops the frame's clauses and the
 learned clauses tagged with it.  Retiring unused variables and
 learned-constraint maintenance wait for prepare_solve, because pending
-assumptions pin variables only then.
+assumptions pin variables only then, and only for that solve.
 
 Frame ids grow in push order and are never reused, so the id alone orders
 frames: learning keeps the larger of two tags.
@@ -31,7 +31,8 @@ class FrameStack:
         # state.clauses[mark:] were added since the last solve and are
         # still enabled: a frame's clauses end the pool
         self.mark = 0
-        self.popped_since_prepare = False
+        # variables a pop left unused in one polarity; see _deletion_cleanup
+        self.unused: set[int] = set()
 
     # ---- stack operations ----
 
@@ -44,7 +45,6 @@ class FrameStack:
         if not self.active:
             raise UsageError("pop on an empty frame stack")
         selector = self.active.pop()
-        self.popped_since_prepare = True
         self.garbage_collect(selector)
         self.mark = min(self.mark, len(self.state.clauses))
 
@@ -54,11 +54,7 @@ class FrameStack:
         lits must already be normalized and declared; tautologies are the
         caller's business.
         """
-        st = self.state
-        selector = self.active[-1] if self.active else 0
-        st.register_clause(lits, selector=selector, learned=False)
-        for l in lits:
-            st.vars[abs(l)].ever_occurred = True
+        self.state.register_clause(lits, self.active[-1] if self.active else 0)
 
     # ---- solve preparation ----
 
@@ -72,8 +68,9 @@ class FrameStack:
         the cubes.
 
         Order matters: wipe, then deletion cleanup, then the addition
-        recheck, which reseeds the cubes from the stored models.  The
-        occurrence lists are live, so no step rebuilds them wholesale.
+        recheck, which reseeds the cubes from the stored models.  Only pops
+        leave cleanup candidates.  The occurrence lists are live, so no step
+        rebuilds them wholesale.
         """
         st = self.state
         assumed = set(assumed)
@@ -86,9 +83,8 @@ class FrameStack:
             st.models.clear()
         elif FORALL in new:
             st.wipe(qres.CLAUSE)
-        if self.popped_since_prepare:
+        if self.unused:
             self._deletion_cleanup()
-            self.popped_since_prepare = False
         if len(st.clauses) > self.mark or EXISTS in new:
             self._addition_recheck()
         self.mark = len(st.clauses)
@@ -96,9 +92,10 @@ class FrameStack:
     def _deletion_cleanup(self) -> None:
         """Retire the variables pops left unused, with the cubes over them.
 
-        A variable is deleted when no enabled original clause mentions it
-        (it is no key of clause_occ), unless it was declared and never used
-        or the coming solve assumes it; when none goes, nothing changes.
+        A candidate (in unused: drop_frame emptied one of its lists) is
+        deleted when no enabled original clause mentions it (it is no key of
+        clause_occ), unless the coming solve assumes it: only assumed ones
+        stay candidates, so a pin lapses at the next solve.
         The prefix drops it in place and merges no blocks, so survivors keep
         their order and clauses their implicant order.  Every cube over a
         deleted variable goes whole (rebuild_indexes), so no stored
@@ -112,9 +109,9 @@ class FrameStack:
         """
         st = self.state
         occ = st.clause_occ
-        removed = {vid for vid, var in st.vars.items()
-                   if var.ever_occurred and vid not in st.assumed
-                   and vid not in occ and -vid not in occ}
+        removed = {vid for vid in self.unused - st.assumed
+                   if vid not in occ and -vid not in occ}
+        self.unused &= st.assumed
         if not removed:
             return
         st.prefix.remove(removed)
@@ -148,5 +145,6 @@ class FrameStack:
         """Drop a popped frame: its original clauses and the learned clauses
         tagged with it.  Frames pop last-in first-out and learning keeps the
         larger tag, so a learned clause tagged with a later frame went when
-        that frame popped.  Cubes stay valid when clauses go."""
-        self.state.drop_frame(selector)
+        that frame popped.  Cubes stay valid when clauses go.  The emptied
+        lists' variables become cleanup candidates."""
+        self.unused.update(self.state.drop_frame(selector))

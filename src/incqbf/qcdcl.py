@@ -31,11 +31,11 @@ edits came before a solve.
 Both kinds are counter-gated: assign and _unassign_top keep nsat (satisfied
 literals) on every clause, and nfalse (falsified literals) and nopen
 (unassigned universal literals) on every cube.  A clause is scanned only
-while nsat == 0, a cube only while nfalse == 0 and nopen <= 1; the level-0
-pass also skips a clause with two open existentials, which it has when its
-existential literals outnumber the trail by two.  A constraint failing a
-gate can neither fire nor turn unit, so skipping it does not change the
-search.
+while nsat == 0, a cube only while nfalse == 0 and nopen == 1 (with no
+open universal it is a solution unscanned); the level-0 pass also skips a
+clause with two open existentials: its nexist outnumbers the trail by two.
+A constraint failing a gate can neither fire nor turn unit, so skipping it
+does not change the search.
 
 Conflict and solution analysis are one kernel, _analyze, parametrised by
 kind: a learned clause is asserting on its falsified existential literals, a
@@ -102,42 +102,40 @@ class Constraint:
     existential and its negation.  The pool holding a constraint gives its
     kind.  selector tags a clause with the id of the frame whose pop
     removes it (0 when none); the id is no variable and never occurs in
-    lits.  The counters belong to the trail: nsat (clauses only) counts the
-    currently satisfied literals; nfalse and nopen (cubes only) count the
-    currently falsified literals and the still unassigned universal
-    literals.  lits never change after registration: a constraint that
-    no longer fits the formula is dropped (SolverState.drop), leaving every
-    list that held it, never rewritten; there is no tombstone.  Two caches
-    belong to clauses, None until first used: nexist counts the
-    existential literals (set at the clause's first level-0 pass), and
-    ranked holds an original clause's literals in implicant order (see
-    SolverState.implicant).
-    """
+    lits.  activity ranks a learned clause or cube for _reduce_db, and is
+    None on an original clause.  The counters belong to the trail: nsat
+    (clauses only) counts the currently satisfied literals; nfalse and
+    nopen (cubes only) the currently falsified literals and the still
+    unassigned universal literals.  lits never change after registration:
+    a constraint that no longer fits the formula is dropped
+    (SolverState.drop), never rewritten.  So nexist, a clause's count of
+    existential literals set at registration, never goes stale; ranked
+    caches an original clause's literals in implicant order, None until
+    first used (see SolverState.implicant).  There is no id: a pool is in
+    registration order."""
 
-    __slots__ = ("lits", "cid", "activity", "selector", "nsat", "nfalse",
-                 "nopen", "nexist", "ranked")
+    __slots__ = ("lits", "activity", "selector", "nsat", "nfalse", "nopen",
+                 "nexist", "ranked")
 
-    def __init__(self, lits, cid, selector=0):
+    def __init__(self, lits, selector=0):
         self.lits = lits
-        self.cid = cid
-        self.activity = 0.0
+        self.activity = None
         self.selector = selector
         self.nsat = 0
         self.nfalse = 0
         self.nopen = 0
-        self.nexist = None
+        self.nexist = 0
         self.ranked = None
 
     def __repr__(self):
-        return "Constraint(%r, cid=%d)" % (list(self.lits), self.cid)
+        return "Constraint(%r)" % (list(self.lits),)
 
 
 class _Var:
-    __slots__ = ("quant", "ever_occurred", "activity", "phase")
+    __slots__ = ("quant", "activity", "phase")
 
     def __init__(self, quant):
         self.quant = quant
-        self.ever_occurred = False
         self.activity = 0.0
         self.phase = False
 
@@ -181,7 +179,6 @@ class SolverState:
     def __init__(self):
         self.prefix = Prefix()
         self.vars: dict[int, _Var] = {}
-        self.next_cid = 0
         self.clauses: list[Constraint] = []
         self.learned_clauses: list[Constraint] = []
         self.cubes: list[Constraint] = []
@@ -239,9 +236,7 @@ class SolverState:
     # ---- constraint storage ----
 
     def register_clause(self, lits, selector=0, learned=False) -> Constraint:
-        c = Constraint(tuple(sorted(lits, key=by_variable)), self.next_cid,
-                       selector)
-        self.next_cid += 1
+        c = Constraint(tuple(sorted(lits, key=by_variable)), selector)
         if learned:
             self.learned_clauses.append(c)
             occ = self.learned_occ
@@ -251,6 +246,7 @@ class SolverState:
             occ = self.clause_occ
         for l in c.lits:
             occ.setdefault(l, []).append(c)
+        c.nexist = sum(self.vars[abs(l)].quant == EXISTS for l in c.lits)
         c.nsat = sum(1 for l in c.lits if self.value.get(abs(l)) == (l > 0))
         return c
 
@@ -260,8 +256,7 @@ class SolverState:
         if existing is not None:
             existing.activity += self.cla_inc
             return existing
-        c = Constraint(key, self.next_cid)
-        self.next_cid += 1
+        c = Constraint(key)
         c.activity = self.cla_inc
         self.cubes.append(c)
         self._cube_index[key] = c
@@ -275,24 +270,28 @@ class SolverState:
                 c.nfalse += 1
         return c
 
-    def drop_frame(self, selector: int) -> None:
+    def drop_frame(self, selector: int) -> list[int]:
         """Drop the clauses tagged with selector, the topmost frame.  Its
         original clauses were added last, so they end their pool and their
         lists and go from the back; learned ones may sit anywhere.  Empty
-        lists go, so clause_occ's keys are the original clauses' literals."""
+        lists go, so clause_occ's keys are the original clauses' literals.
+        Returns the variables of the lists it emptied."""
         clauses, occ = self.clauses, self.clause_occ
         i = len(clauses)
         while i and clauses[i - 1].selector == selector:
             i -= 1
+        emptied = []
         for c in reversed(clauses[i:]):
             for l in c.lits:
                 lst = occ[l]
                 lst.pop()
                 if not lst:
                     del occ[l]
+                    emptied.append(abs(l))
         del clauses[i:]
         self.drop(CLAUSE, [c for c in self.learned_clauses
                            if c.selector == selector])
+        return emptied
 
     def drop(self, kind: str, gone) -> None:
         """Remove the constraints in gone from the learned clauses or the
@@ -435,15 +434,12 @@ class SolverState:
                 for c in pool:
                     if c.nsat:
                         continue
-                    e = c.nexist
-                    if e is None:
-                        e = c.nexist = sum(
-                            1 for l in c.lits if self.vars[abs(l)].quant == EXISTS)
-                    # e - len(trail) >= 2: two existentials are still open
-                    if e - len(trail) < 2 and self._scan_clause(c):
+                    # two existentials are still open when this is >= 2
+                    if c.nexist - len(trail) < 2 and self._scan_clause(c):
                         return ("conflict", c)
             for c in self.cubes:
-                if c.nfalse == 0 and c.nopen <= 1 and self._scan_cube(c):
+                if c.nfalse == 0 and (c.nopen == 0
+                                      or c.nopen == 1 and self._scan_cube(c)):
                     return ("solution", c)
         while self.qhead < len(self.trail):
             lit = self.trail[self.qhead]
@@ -455,7 +451,8 @@ class SolverState:
                 if c.nsat == 0 and self._scan_clause(c):
                     return ("conflict", c)
             for c in self.cube_occ.get(lit, ()):
-                if c.nfalse == 0 and c.nopen <= 1 and self._scan_cube(c):
+                if c.nfalse == 0 and (c.nopen == 0
+                                      or c.nopen == 1 and self._scan_cube(c)):
                     return ("solution", c)
         if self.n_sat_orig == len(self.clauses):
             return ("solution", None)
@@ -495,12 +492,15 @@ class SolverState:
             self.var_inc *= 1e-100
 
     def _bump_constraint(self, c: Constraint) -> None:
-        c.activity += self.cla_inc
-        if c.activity > 1e100:
-            for pool in (self.clauses, self.learned_clauses, self.cubes):
-                for d in pool:
-                    d.activity *= 1e-100
-            self.cla_inc *= 1e-100
+        """Bump c's variables, and c unless it is an original clause: only
+        the learned pools are ranked (_reduce_db), so only they rescale."""
+        if c.activity is not None:
+            c.activity += self.cla_inc
+            if c.activity > 1e100:
+                for pool in (self.learned_clauses, self.cubes):
+                    for d in pool:
+                        d.activity *= 1e-100
+                self.cla_inc *= 1e-100
         for l in c.lits:
             self._bump_var(abs(l))
 
@@ -654,10 +654,11 @@ class SolverState:
     def _reduce_db(self, kind: str) -> None:
         """Drop the less active unlocked half of one learned pool (see
         drop): the kept constraints stay in their pool's order, and so
-        propagation meets them in the same sequence."""
+        propagation meets them in the same sequence.  A pool is in
+        registration order, so of equally active ones the newer goes first."""
         pool = self.learned_clauses if kind == CLAUSE else self.cubes
         locked = {r for r in self.reason.values() if isinstance(r, Constraint)}
-        unlocked = [c for c in sorted(pool, key=lambda c: (c.activity, -c.cid))
+        unlocked = [c for c in sorted(reversed(pool), key=lambda c: c.activity)
                     if c not in locked]
         self.drop(kind, unlocked[:len(pool) // 2])
         if kind == CLAUSE:

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from incqbf import (CUBE, EXISTS, FORALL, Solver, UsageError, eval_pcnf)
+from incqbf import (CUBE, EXISTS, FORALL, Pcnf, Solver, UsageError,
+                    eval_pcnf)
 
-from gen import build_solver, occurrences, random_session
+from gen import (build_solver, occurrences, random_pcnf, random_session,
+                 restricted_verdict)
 
 
 def audit_selectors(s, all_framed):
@@ -85,8 +87,9 @@ def test_pop_retires_unused_variables_and_drops_pending():
     s.push()
     s.add_clause((1, 2))
     st = s._state
-    assert st.vars[1].ever_occurred
     s.pop()
+    # the pop emptied 1's only list; 2 still occurs in the base
+    assert s._frames.unused == {1}
     # the popped clause no longer waits for the addition recheck
     assert [c.lits for c in st.clauses[s._frames.mark:]] == [(2,)]
     with pytest.raises(UsageError):
@@ -123,6 +126,28 @@ def test_assumption_pins_variable_against_cleanup():
     s.assume(1)
     assert s.solve() is True
     assert 1 in s._state.vars
+
+
+def test_assumption_pin_lapses_at_the_next_solve():
+    """An assumption pins a variable only for the solve that assumes it:
+    the next solve that does not assume it retires it, with no pop in
+    between."""
+    s = Solver()
+    b = s.new_block(EXISTS)
+    s.add_variable(b, 1)
+    s.add_variable(b, 2)
+    s.add_clause((2,))
+    s.push()
+    s.add_clause((1, 2))
+    s.pop()
+    s.assume(1)
+    assert s.solve() is True
+    st = s._state
+    assert 1 in st.vars
+    assert s.solve() is True
+    assert 1 not in st.vars
+    assert st.prefix.as_pairs() == [(EXISTS, (2,))]
+    assert s._frames.unused == set()
 
 
 def test_readoption_makes_fresh_outermost_existential():
@@ -316,3 +341,52 @@ def test_incremental_sessions_match_oracle():
             want = eval_pcnf(shadow.enabled_pcnf())
             assert got == want, (seed, keep)
             audit_selectors(shadow.solver, all_framed=False)
+
+
+def test_assumption_churn_sessions_match_oracle():
+    """A bounded fuzzer for retention under changing assumptions.
+
+    500 seeded sessions over formulas of at most 8 variables each make 5-25
+    solves under fresh prefix-closed assumptions, with an occasional push,
+    add or pop in between.  Every verdict and every relevant_assumptions()
+    subset is checked by eval_pcnf of the restricted formula.  A newly
+    assumed variable may have been reduced away from a retained constraint,
+    so these sessions catch a missing wipe that sessions under fixed
+    assumptions miss."""
+    for seed in range(500):
+        rng = random.Random(seed)
+        f = random_pcnf(rng, max_vars=8, max_clauses=14, min_clauses=2)
+        s = build_solver(f)
+        st = s._state
+        frames = [list(f.clauses)]
+        for _ in range(rng.randint(5, 25)):
+            op = rng.random()
+            if op < 0.1:
+                s.push()
+                frames.append([])
+            elif op < 0.2 and len(frames) > 1:
+                s.pop()
+                frames.pop()
+            elif op < 0.35:
+                # a retired variable would come back as a fresh existential
+                live = [v for v in f.prefix.variables() if st.declared(v)]
+                vs = rng.sample(live, rng.randint(1, min(3, len(live))))
+                c = tuple(v if rng.random() < 0.5 else -v for v in vs)
+                s.add_clause(c)
+                frames[-1].append(c)
+            lits = []
+            for blk in st.prefix.blocks:
+                vs = list(blk.variables)
+                if rng.random() < 0.5:
+                    vs = [v for v in vs if rng.random() < 0.5]
+                lits += [v if rng.random() < 0.5 else -v for v in vs]
+                if len(vs) < len(blk.variables):
+                    break
+            for l in lits:
+                s.assume(l)
+            g = Pcnf(f.prefix.copy(), [c for fr in frames for c in fr])
+            want = restricted_verdict(g, lits)
+            assert s.solve() == want, (seed, lits)
+            rel = s.relevant_assumptions()
+            assert set(rel) <= set(lits), (seed, lits, rel)
+            assert restricted_verdict(g, rel) == want, (seed, lits, rel)

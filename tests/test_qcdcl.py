@@ -445,20 +445,27 @@ def test_contradictory_core_assumptions():
         st.solve_core([1, -1])
 
 
-def test_activity_rescale_covers_original_clauses():
-    """Analysis bumps original clauses too (conflict sources, antecedents),
-    so the rescale must shrink them with the learned pools.  Otherwise an
-    original clause stays above the limit, and each later bump of it
-    divides cla_inc by 1e100 again."""
+def test_activity_rescale_covers_only_learned_pools():
+    """Only _reduce_db reads activity, and it ranks only the learned pools.
+    So a bump of an original clause raises only its variables' activity:
+    the clause keeps none, and however often it is bumped it never moves
+    cla_inc.  A learned constraint past the limit rescales the learned
+    clauses and the cubes."""
     st = state([(EXISTS, (1, 2))])
     c = st.register_clause((1, 2))
     st.cla_inc = 1e100
     learned = st.register_clause((1, -2), learned=True)
+    cube = st.register_cube((1,))
     for _ in range(4):
         st._bump_constraint(c)
+    assert c.activity is None
+    assert st.cla_inc == 1e100
+    assert st.vars[1].activity == st.vars[2].activity == pytest.approx(4.0)
+    st._bump_constraint(learned)
     assert st.cla_inc == pytest.approx(1.0)
-    assert c.activity == pytest.approx(4.0)
-    assert learned.activity == pytest.approx(1.0)
+    assert learned.activity == pytest.approx(2.0)
+    assert cube.activity == pytest.approx(1.0)
+    assert c.activity is None
 
 
 def test_restarts_fire_and_stay_correct(monkeypatch):

@@ -164,7 +164,8 @@ class VerdictMachine(RuleBasedStateMachine):
     def indexes_match_pools(self):
         """No solve rebuilds the clause lists, so every edit must keep them:
         each occurrence map equals a build from its pool, in pool order,
-        and between steps (empty trail) every counter is at rest."""
+        between steps (empty trail) every counter is at rest, and every
+        clause still counts its existential literals right."""
         for s in self.solvers:
             st_ = s._state
             assert not st_.trail
@@ -175,6 +176,8 @@ class VerdictMachine(RuleBasedStateMachine):
             assert st_.n_sat_orig == 0
             for c in st_.clauses + st_.learned_clauses:
                 assert c.nsat == 0
+                assert c.nexist == sum(1 for l in c.lits
+                                       if st_.quantifier(abs(l)) == EXISTS)
             for c in st_.cubes:
                 assert c.nfalse == 0
                 assert c.nopen == sum(1 for l in c.lits
